@@ -12,13 +12,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from math import gcd, isqrt
+from typing import Callable, NamedTuple
 from warnings import warn
 
 from .pell import fundamental_unit
 from .qint import QuadInt, check_radicand, is_square
 from .solve import canonical_rep, is_representable, solve_norm
-
-PROP_IDS = ("2.3", "2.4", "2.5", "2.6")
 
 
 @dataclass(frozen=True)
@@ -74,41 +73,47 @@ class NormClassifier:
         return False
 
 
-_VALIDITY = {"2.3": 2, "2.4": 2, "2.5": 12, "2.6": 12}
+class _Rule(NamedTuple):
+    first_t: int  # smallest t the rule is stated for
+    r: int  # the rule speaks about radicands m = t**2 + r
+    classifier: Callable[[int], NormClassifier]
+
+
+_RULES = {
+    "2.3": _Rule(2, 1, lambda t: NormClassifier(
+        "2.3", t, 2 * t, (), square_escape=True)),
+    "2.4": _Rule(2, 1, lambda t: NormClassifier(
+        "2.4", t, 4 * t + 3, (4 * t - 3, 2 * t), square_escape=True)),
+    "2.5": _Rule(12, 2, lambda t: NormClassifier(
+        "2.5", t, 4 * t + 2, (2 * t - 1, 2 * t + 1, 4 * t - 7, 4 * t - 2),
+        square_escape=True, double_square_escape=True)),
+    "2.6": _Rule(12, -2, lambda t: NormClassifier(
+        "2.6", t, 4 * t + 6,
+        (2 * t - 3, 2 * t + 3, 4 * t - 9, 4 * t - 6, 4 * t + 6),
+        square_escape=True, orbit_clause=True)),
+}
+
+PROP_IDS = tuple(_RULES)
+
+
+def _rule(prop_id: str) -> _Rule:
+    if prop_id not in _RULES:
+        raise ValueError(f"unknown rule id {prop_id!r}")
+    return _RULES[prop_id]
 
 
 def allowed_set(prop_id: str, t: int) -> NormClassifier:
     """Classifier for one exclusion rule at parameter t."""
-    if prop_id not in PROP_IDS:
-        raise ValueError(f"unknown rule id {prop_id!r}")
-    if t < _VALIDITY[prop_id]:
-        warn(f"rule {prop_id} is stated for t >= {_VALIDITY[prop_id]}, got t={t}",
+    rule = _rule(prop_id)
+    if t < rule.first_t:
+        warn(f"rule {prop_id} is stated for t >= {rule.first_t}, got t={t}",
              stacklevel=2)
-    if prop_id == "2.3":
-        return NormClassifier("2.3", t, 2 * t, (), square_escape=True)
-    if prop_id == "2.4":
-        return NormClassifier("2.4", t, 4 * t + 3, (4 * t - 3, 2 * t),
-                              square_escape=True)
-    if prop_id == "2.5":
-        return NormClassifier(
-            "2.5", t, 4 * t + 2,
-            (2 * t - 1, 2 * t + 1, 4 * t - 7, 4 * t - 2),
-            square_escape=True, double_square_escape=True)
-    return NormClassifier(
-        "2.6", t, 4 * t + 6,
-        (2 * t - 3, 2 * t + 3, 4 * t - 9, 4 * t - 6, 4 * t + 6),
-        square_escape=True, orbit_clause=True)
+    return rule.classifier(t)
 
 
 def prop_radicand(prop_id: str, t: int) -> int:
     """Radicand family a rule speaks about: t**2+1, t**2+2 or t**2-2."""
-    if prop_id in ("2.3", "2.4"):
-        return t * t + 1
-    if prop_id == "2.5":
-        return t * t + 2
-    if prop_id == "2.6":
-        return t * t - 2
-    raise ValueError(f"unknown rule id {prop_id!r}")
+    return t * t + _rule(prop_id).r
 
 
 def prop26_generators(t: int) -> list[QuadInt]:
@@ -184,7 +189,7 @@ def _verify_single_t(prop_id: str, t: int) -> tuple[int, list[Counterexample]]:
     checked = 0
     exceptions: list[Counterexample] = []
 
-    if prop_id != "2.6":
+    if not cls.orbit_clause:
         for n in range(1, cls.threshold):
             checked += 1
             if cls.allows(n):
@@ -221,8 +226,9 @@ def verify_prop(
     not covered by the rule is reported with a witness.  jobs > 1 fans the
     per-t work out to processes; results are merged in t order either way.
     """
-    if prop_id not in PROP_IDS:
-        raise ValueError(f"unknown rule id {prop_id!r}")
+    _rule(prop_id)
+    if t_min < 1:
+        raise ValueError("t_min must be at least 1")
     if t_min > t_max:
         raise ValueError("t_min must not exceed t_max")
     ts = list(range(t_min, t_max + 1))

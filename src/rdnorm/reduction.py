@@ -95,41 +95,33 @@ def reduce_half(
     """Half-window reduction for radicands m = t**2 + 2, where delta = t + sqrt(m)
     satisfies delta**2 = 2*eps.
 
-    xi is first moved into [sqrt(n*sqrt(eps))/eps, sqrt(n*sqrt(eps))) by unit
-    powers.  If the result already sits in the upper half
+    xi is first moved into [sqrt(n*sqrt(eps))/eps, sqrt(n*sqrt(eps))).  The
+    window [sqrt(n/eps), sqrt(n*eps)) of reduce_window is also one eps wide
+    and starts inside that one, so at most one division by eps remains.
+    If the result already sits in the upper half
     [sqrt(n/sqrt(eps)), sqrt(n*sqrt(eps))), the case is "direct"; otherwise
     it is multiplied once by delta, doubling the absolute norm and landing
     in [sqrt(2n/sqrt(eps)), sqrt(2n*sqrt(eps))).  All comparisons use exact
     fourth-power forms.
     """
-    if xi.is_zero():
-        raise ValueError("cannot reduce zero")
-    _check_reducer(eps)
     t = delta.a
     if delta.b != 1 or t < 1 or delta.m != t * t + 2:
         raise ValueError(f"delta must be t + sqrt(t**2+2), got {delta}")
     if delta * delta != 2 * eps:
         raise ValueError("delta**2 != 2*eps")
 
-    n = abs(xi.norm())
+    res = reduce_window(xi, eps)
+    j, alpha, n = res.j, res.alpha, res.n
     nn = n * n
-    alpha = abs(xi)
-    inv = unit_inverse(eps)
-    j = 0
 
     def fourth(x: QuadInt) -> QuadInt:
         sq = x * x
         return sq * sq
 
     # upper edge: alpha < sqrt(n*sqrt(eps))  <=>  alpha**4 < n**2 * eps
-    while (nn * eps - fourth(alpha)).sign_real() <= 0:
-        alpha = alpha * inv
+    if (nn * eps - fourth(alpha)).sign_real() <= 0:
+        alpha = alpha * unit_inverse(eps)
         j -= 1
-    # lower edge: alpha >= sqrt(n*sqrt(eps))/eps  <=>  alpha**4 * eps**3 >= n**2
-    eps3 = eps * eps * eps
-    while (fourth(alpha) * eps3 - nn).sign_real() < 0:
-        alpha = alpha * eps
-        j += 1
 
     # upper half-window: alpha >= sqrt(n/sqrt(eps))  <=>  alpha**4 * eps >= n**2
     if (fourth(alpha) * eps - nn).sign_real() >= 0:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .pell import fundamental_unit
-from .qint import QuadInt, check_radicand
-from .reduction import reduce_window
+from .qint import QuadInt, _sgn, check_radicand
+from .reduction import _check_reducer, reduce_window
 
 _NUMPY_CUTOFF = 4096  # below this b-range the plain loop wins
 _INT64_LIMIT = 2**62
@@ -24,32 +24,23 @@ def coeff_bounds(m: int, n: int, eps: QuadInt) -> tuple[int, int]:
     """Largest coefficients a window representative of norm +-n can have.
 
     Returns (A, B) with every reduced solution satisfying |a| <= A and
-    |b| <= B, via the exact squared tests 4*A**2*eps <= n*(eps+1)**2 and
-    4*B**2*m*eps <= n*(eps+1)**2.  The tests must be non-strict: both
-    bounds are attained with equality by window representatives at the
-    lower window edge (e.g. m=146, n=2, representative -12 + sqrt(146)).
+    |b| <= B: the largest values with 4*A**2*eps <= n*(eps+1)**2 and
+    4*B**2*m*eps <= n*(eps+1)**2.  Dividing by eps leaves
+    n*(2 + eps + 1/eps), which is 2n*(a+1) for a unit a + b*sqrt(m) of norm
+    +1 and 2n + 2n*b*sqrt(m) for norm -1 (Nagell's bound); 4*A**2 and
+    4*B**2*m are integers, so both tests are decided exactly against the
+    floor s of that value.  The tests must be non-strict: both bounds are
+    attained with equality by window representatives at the lower window
+    edge (e.g. m=146, n=2, representative -12 + sqrt(146)).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    upper = n * (eps + 1) ** 2
-
-    def largest(weight: QuadInt) -> int:
-        def ok(k: int) -> bool:
-            return (upper - (4 * k * k) * weight).sign_real() >= 0
-
-        hi = 1
-        while ok(hi):
-            hi <<= 1
-        lo = hi >> 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    return largest(eps), largest(m * eps)
+    _check_reducer(eps)
+    if eps.norm() == 1:
+        s = 2 * n * (eps.a + 1)
+    else:
+        s = 2 * n + isqrt(4 * n * n * eps.b * eps.b * eps.m)
+    return isqrt(s // 4), isqrt(s // (4 * m))
 
 
 # -- square-testing scans ----------------------------------------------------
@@ -149,11 +140,7 @@ def canonical_rep(alpha: QuadInt, eps: QuadInt) -> QuadInt:
 
 
 def _sort_key(x: QuadInt):
-    return (abs(x.b), abs(x.a), -_sign(x.b), -_sign(x.a))
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+    return (abs(x.b), abs(x.a), -_sgn(x.b), -_sgn(x.a))
 
 
 @dataclass(frozen=True)

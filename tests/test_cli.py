@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rdnorm
 from rdnorm.cli import EXIT_EXCEPTIONS, EXIT_OK, EXIT_USAGE, main
 
 
@@ -102,6 +104,14 @@ class TestVerify:
             main(["verify", "2.7", "--t-min", "2", "--t-max", "5"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_nonpositive_t_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "2.3", "--t-min", "-5",
+                           "--t-max", "-1")
+        assert code == EXIT_USAGE and "error:" in err
+        code, doc, _ = run_json(capsys, "verify", "2.5", "--t-min", "-40",
+                                "--t-max", "-12")
+        assert code == EXIT_USAGE and doc["ok"] is False
+
     def test_thread_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RDNORM_THREADS", "2")
         code, doc, _ = run_json(capsys, "verify", "2.3", "--t-min", "2",
@@ -126,9 +136,13 @@ class TestWitness:
 
 class TestInvocation:
     def test_console_entry_point(self):
+        # the child must import the same rdnorm as this suite, installed or not
+        src = os.path.dirname(os.path.dirname(rdnorm.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "rdnorm", "unit", "10", "--json"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)

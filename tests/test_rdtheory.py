@@ -156,6 +156,8 @@ class TestVerifyProp:
             verify_prop("2.3", 5, 2)
         with pytest.raises(ValueError):
             verify_prop("2.3", 2, 5, jobs=0)
+        with pytest.raises(ValueError):
+            verify_prop("2.3", -5, -1)
 
     def test_report_json_shape(self):
         doc = verify_prop("2.4", 3, 3).to_json()

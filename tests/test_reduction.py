@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +152,46 @@ class TestReduceHalf:
                 assert res.n == 2 * abs(xi.norm())
             else:
                 assert res.n == abs(xi.norm())
+
+    def test_random_orbit_members(self):
+        # xi * eps**k for random xi, some close to +-b*sqrt(m) so that both
+        # halves of the window are reached
+        rng = random.Random(3)
+        seen = set()
+        for t in (1, 2, 3, 12, 100):
+            m = t * t + 2
+            delta = QuadInt(t, 1, m)
+            eps = QuadInt(t * t + 1, t, m)
+            inv = unit_inverse(eps)
+            for _ in range(60):
+                b = rng.randrange(-50, 51)
+                if rng.random() < 0.5:
+                    a = rng.choice((1, -1)) * isqrt(m * b * b)
+                    a += rng.randrange(-2, 3)
+                else:
+                    a = rng.randrange(-50, 51)
+                if a == b == 0:
+                    continue
+                xi = QuadInt(a, b, m)
+                k = rng.randrange(-12, 13)
+                xi = xi * (eps**k if k >= 0 else inv ** (-k))
+                res, case = reduce_half(xi, delta, eps)
+                seen.add(case)
+                # half window [sqrt(n/sqrt(eps)), sqrt(n*sqrt(eps))) in
+                # the output norm, by exact fourth-power tests
+                a4 = (res.alpha * res.alpha) ** 2
+                nn = res.n * res.n
+                assert res.alpha.sign_real() > 0
+                assert (a4 * eps - nn).sign_real() >= 0
+                assert (nn * eps - a4).sign_real() > 0
+                moved = xi * (eps**res.j if res.j >= 0 else inv ** (-res.j))
+                if case == "direct":
+                    assert res.n == abs(xi.norm())
+                    assert moved in (res.alpha, -res.alpha)
+                else:
+                    assert res.n == 2 * abs(xi.norm())
+                    assert moved * delta in (res.alpha, -res.alpha)
+        assert seen == {"direct", "delta-multiplied"}
 
     def test_rejects_mismatched_delta(self):
         with pytest.raises(ValueError):

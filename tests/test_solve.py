@@ -10,6 +10,7 @@ from rdnorm import (
     fundamental_unit,
     is_representable,
     is_square,
+    rd_unit,
     solve_norm,
 )
 from rdnorm.solve import _scan_np, _scan_py
@@ -37,6 +38,17 @@ def oracle_box(m, n, eps):
     return isqrt(m * (b_max + 1) ** 2 + n), b_max + 1
 
 
+def assert_bounds_maximal(m, n, eps):
+    """(A, B) are the largest k passing the defining exact inequalities
+    4*k**2*w <= n*(eps+1)**2, w = eps for A and w = m*eps for B."""
+    a_max, b_max = coeff_bounds(m, n, eps)
+    upper = n * (eps + 1) ** 2
+    for k, weight in ((a_max, eps), (b_max, m * eps)):
+        case = (m, n, eps, k)
+        assert (upper - 4 * k * k * weight).sign_real() >= 0, case
+        assert (upper - 4 * (k + 1) ** 2 * weight).sign_real() < 0, case
+
+
 class TestCoeffBounds:
     def test_frozen_values(self):
         eps = fundamental_unit(10)
@@ -60,6 +72,33 @@ class TestCoeffBounds:
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):
             coeff_bounds(10, 0, fundamental_unit(10))
+
+    def test_rejects_non_unit_or_unit_below_one(self):
+        for eps in (QuadInt(4, 1, 10), QuadInt(-3, 1, 10), QuadInt(1, 0, 10)):
+            with pytest.raises(ValueError):
+                coeff_bounds(10, 6, eps)
+
+    def test_maximal_for_fundamental_units_and_squares(self):
+        rng = random.Random(11)
+        norms = set()
+        for m in range(2, 501):
+            if is_square(m):
+                continue
+            eps = fundamental_unit(m)
+            norms.add(eps.norm())
+            for n in rng.sample(range(1, 201), 8):
+                assert_bounds_maximal(m, n, eps)
+                assert_bounds_maximal(m, n, eps * eps)
+        assert norms == {1, -1}
+
+    def test_maximal_for_rd_units(self):
+        for t in range(1, 23):
+            for r in (1, -1, 2, -2):
+                if abs(r) > t or t * t + r < 2:
+                    continue
+                eps = rd_unit(t, r)
+                for n in range(1, 201):
+                    assert_bounds_maximal(eps.m, n, eps)
 
 
 class TestSolveNorm:
