@@ -18,7 +18,6 @@ from .rdtheory import (
 )
 from .reduction import (
     ReductionResult,
-    cassels_bound,
     reduce_half,
     reduce_window,
     unit_inverse,
@@ -48,7 +47,6 @@ __all__ = [
     "allowed_set",
     "brute_oracle",
     "canonical_rep",
-    "cassels_bound",
     "cf_sqrt",
     "class_number_witness",
     "cmp_real",

@@ -3,14 +3,13 @@
 Subcommands: unit, solve, reduce, verify, witness.  Human-readable output
 by default, one JSON document on stdout with --json; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found exceptions, 2 usage
-or domain error.  RDNORM_THREADS caps the parallelism of verify sweeps.
+or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .pell import cf_sqrt, fundamental_unit
@@ -86,8 +85,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    jobs = _thread_limit()
-    report = verify_prop(args.prop, args.t_min, args.t_max, jobs=jobs)
+    report = verify_prop(args.prop, args.t_min, args.t_max)
     human = [
         f"rule {report.prop_id}, t in [{report.t_min}, {report.t_max}]: "
         f"checked {report.checked_count} cases, "
@@ -111,19 +109,6 @@ def cmd_witness(args) -> int:
     )
     _emit(args, "witness", w.to_json(), human)
     return EXIT_OK
-
-
-def _thread_limit() -> int:
-    raw = os.environ.get("RDNORM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-        if jobs < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"RDNORM_THREADS must be a positive integer, got {raw!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:

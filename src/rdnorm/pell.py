@@ -88,7 +88,6 @@ def rd_unit(t: int, r: int) -> QuadInt | None:
     m = t * t + r
     if t < 1 or r == 0 or abs(r) > t or (4 * t) % r != 0:
         raise ValueError(f"(t={t}, r={r}) is not a valid t**2+r decomposition")
-    check_radicand(m)
     if r in (1, -1):
         return QuadInt(t, 1, m)
     if r == 2:

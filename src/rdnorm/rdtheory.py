@@ -9,7 +9,6 @@ re-checkable witness, instead of asserting the rule is true.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Callable, NamedTuple
@@ -126,7 +125,6 @@ def prop26_generators(t: int) -> list[QuadInt]:
     if t < 2:
         raise ValueError("t must be >= 2")
     m = t * t - 2
-    check_radicand(m)
     gens = [QuadInt(t + e, s, m) for e in (1, -1, 2, -2) for s in (1, -1)]
     gens += [QuadInt(2 * t - 1, s, m) for s in (2, -2)]
     gens += [QuadInt(2 * t + e, s, m) for e in (2, -2) for s in (2, -2)]
@@ -179,11 +177,7 @@ def _is_integer_times_unit(rep: QuadInt) -> bool:
 
 
 def _verify_single_t(prop_id: str, t: int) -> tuple[int, list[Counterexample]]:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cls = allowed_set(prop_id, t)
+    cls = _rule(prop_id).classifier(t)
     m = prop_radicand(prop_id, t)
     eps = fundamental_unit(m)
     checked = 0
@@ -217,38 +211,23 @@ def _verify_single_t(prop_id: str, t: int) -> tuple[int, list[Counterexample]]:
     return checked, exceptions
 
 
-def verify_prop(
-    prop_id: str, t_min: int, t_max: int, jobs: int | None = None
-) -> VerificationReport:
+def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
     """Exhaustively test one exclusion rule for every t in [t_min, t_max].
 
-    For each t the full range n < threshold is solved and every solution
-    not covered by the rule is reported with a witness.  jobs > 1 fans the
-    per-t work out to processes; results are merged in t order either way.
+    The t values run in order in this process.  For each t the full range
+    n < threshold is solved and every solution not covered by the rule is
+    reported with a witness.
     """
     _rule(prop_id)
     if t_min < 1:
         raise ValueError("t_min must be at least 1")
     if t_min > t_max:
         raise ValueError("t_min must not exceed t_max")
-    ts = list(range(t_min, t_max + 1))
-    if jobs is None:
-        jobs = 1
-    if jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    jobs = min(jobs, len(ts), os.cpu_count() or 1)
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_single_t, [prop_id] * len(ts), ts))
-    else:
-        results = [_verify_single_t(prop_id, t) for t in ts]
-
-    checked = sum(c for c, _ in results)
+    checked = 0
     exceptions: list[Counterexample] = []
-    for _, exc in results:
+    for t in range(t_min, t_max + 1):
+        c, exc = _verify_single_t(prop_id, t)
+        checked += c
         exceptions.extend(exc)
     return VerificationReport(prop_id, t_min, t_max, checked, tuple(exceptions))
 
@@ -256,10 +235,17 @@ def verify_prop(
 # -- class-number witness -----------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Smallest strong pseudoprime to all of _MR_BASES (Jiang & Deng 2014).
+_MR_PROVEN_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Miller-Rabin with the prime bases 2..37.
+
+    The answer is proven for n < _MR_PROVEN_BELOW (about 3.2e23); at and
+    above that bound a True is only a strong probable prime, and the bound
+    itself, 399165290221 * 798330580441, passes.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -317,10 +303,15 @@ def class_number_witness(l: int, q: int) -> Witness:
     """Assemble the nontriviality certificate for t = 2*l*q, m = t**2 + 1.
 
     The solver confirms both n = 4q and n = q unrepresentable; the n = q
-    branch closes the descent case where x and y are both even.
+    branch closes the descent case where x and y are both even.  q must
+    lie below the bound up to which is_prime is proven.
     """
     if l <= 1:
         raise ValueError("l must exceed 1")
+    if q >= _MR_PROVEN_BELOW:
+        raise ValueError(
+            f"q = {q} is too large: primality is proven only below "
+            f"{_MR_PROVEN_BELOW}")
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     t = 2 * l * q

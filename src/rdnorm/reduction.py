@@ -9,23 +9,9 @@ inside Z[sqrt(m)] and are decided exactly by sign_real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .pell import is_unit
 from .qint import QuadInt
-
-
-def cassels_bound(s: Fraction | int, t: Fraction | int) -> Fraction:
-    """s + t/s.
-
-    Contract: any x, y with x <= s, y <= s and x*y <= t satisfy
-    x + y <= s + t/s (expand (x-s)*(y-s) >= 0).
-    """
-    s = Fraction(s)
-    t = Fraction(t)
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return s + t / s
 
 
 @dataclass(frozen=True)
@@ -54,7 +40,10 @@ def unit_inverse(eps: QuadInt) -> QuadInt:
 def _check_reducer(eps: QuadInt) -> None:
     if not is_unit(eps):
         raise ValueError(f"{eps} is not a unit")
-    if (eps - 1).sign_real() <= 0:
+    # A unit eps > 1 has |conj(eps)| = 1/eps < 1, so a = (eps + conj)/2 and
+    # b*sqrt(m) = (eps - conj)/2 are both positive; conversely a, b >= 1
+    # give eps >= 1 + sqrt(m) > 1.
+    if eps.a < 1 or eps.b < 1:
         raise ValueError(f"unit {eps} must exceed 1")
 
 

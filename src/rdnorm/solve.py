@@ -35,6 +35,8 @@ def coeff_bounds(m: int, n: int, eps: QuadInt) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if eps.m != m:
+        raise ValueError(f"unit {eps} does not lie in Z[sqrt({m})]")
     _check_reducer(eps)
     if eps.norm() == 1:
         s = 2 * n * (eps.a + 1)
@@ -124,10 +126,7 @@ _SQ64 = _SQ63 = _SQ65 = None
 
 def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
     if b_max >= _NUMPY_CUTOFF and m * (b_max + 1) ** 2 + n < _INT64_LIMIT:
-        try:
-            return _scan_np(m, n, b_max)
-        except ImportError:
-            pass
+        return _scan_np(m, n, b_max)
     return _scan_py(m, n, b_max)
 
 
@@ -168,7 +167,6 @@ def solve_norm(
     m: int,
     n: int,
     primitive_only: bool = False,
-    fold_conjugates: bool = False,
     eps: QuadInt | None = None,
 ) -> SolutionSet:
     """Solve |x**2 - m*y**2| = n completely, up to units and sign.
@@ -176,8 +174,7 @@ def solve_norm(
     Every solution is associate to exactly one returned representative.
     With primitive_only, orbits whose coordinates share a factor are
     dropped (the gcd test runs on the raw candidate, which is equivalent
-    on the whole orbit since units are primitive).  With fold_conjugates,
-    an orbit and its conjugate orbit count once.
+    on the whole orbit since units are primitive).
     """
     check_radicand(m)
     if n < 1:
@@ -192,13 +189,6 @@ def solve_norm(
         for x in (a, -a) if a else (0,):
             rep = canonical_rep(QuadInt(x, b, m), eps)
             reps[(rep.a, rep.b)] = rep
-    if fold_conjugates:
-        folded: dict[tuple[int, int], QuadInt] = {}
-        for rep in reps.values():
-            twin = canonical_rep(rep.conj(), eps)
-            best = min(rep, twin, key=_sort_key)
-            folded[(best.a, best.b)] = best
-        reps = folded
     ordered = sorted(reps.values(), key=_sort_key)
     return SolutionSet(m=m, n=n, eps=eps, reps=tuple(ordered))
 

@@ -112,16 +112,6 @@ class TestVerify:
                                 "--t-max", "-12")
         assert code == EXIT_USAGE and doc["ok"] is False
 
-    def test_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RDNORM_THREADS", "2")
-        code, doc, _ = run_json(capsys, "verify", "2.3", "--t-min", "2",
-                                "--t-max", "8")
-        assert code == EXIT_OK
-        monkeypatch.setenv("RDNORM_THREADS", "moose")
-        code, _, err = run(capsys, "verify", "2.3", "--t-min", "2",
-                           "--t-max", "8")
-        assert code == EXIT_USAGE and "RDNORM_THREADS" in err
-
 
 class TestWitness:
     def test_valid(self, capsys):
@@ -132,6 +122,10 @@ class TestWitness:
     def test_bad_parameters_exit_2(self, capsys):
         code, _, err = run(capsys, "witness", "1", "5")
         assert code == EXIT_USAGE and "error:" in err
+        # composite, but passes every Miller-Rabin base is_prime uses
+        q = str(399165290221 * 798330580441)
+        code, doc, err = run_json(capsys, "witness", "2", q)
+        assert code == EXIT_USAGE and doc["ok"] is False and "error:" in err
 
 
 class TestInvocation:

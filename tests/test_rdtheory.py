@@ -146,16 +146,11 @@ class TestVerifyProp:
                 sporadic.append((e.t, e.n, e.x, e.y))
         assert sporadic == [(12, 53, 35, 3), (12, 53, -35, 3)]
 
-    def test_jobs_parity(self):
-        assert verify_prop("2.4", 3, 6, jobs=2) == verify_prop("2.4", 3, 6)
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_prop("2.9", 2, 5)
         with pytest.raises(ValueError):
             verify_prop("2.3", 5, 2)
-        with pytest.raises(ValueError):
-            verify_prop("2.3", 2, 5, jobs=0)
         with pytest.raises(ValueError):
             verify_prop("2.3", -5, -1)
 
@@ -215,6 +210,9 @@ class TestClassNumberWitness:
             class_number_witness(1, 5)
         with pytest.raises(ValueError):
             class_number_witness(2, 4)
+        # composite, but a strong pseudoprime to every base is_prime uses
+        with pytest.raises(ValueError, match="proven"):
+            class_number_witness(2, 399165290221 * 798330580441)
 
     def test_json_shape(self):
         doc = class_number_witness(3, 5).to_json()

@@ -1,13 +1,10 @@
 import random
-from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
 
 from rdnorm import (
     QuadInt,
-    cassels_bound,
     fundamental_unit,
     reduce_half,
     reduce_window,
@@ -16,29 +13,6 @@ from rdnorm import (
 from rdnorm.reduction import in_window
 
 EPS10 = QuadInt(3, 1, 10)
-
-
-class TestCasselsBound:
-    def test_values(self):
-        assert cassels_bound(1, 1) == 2
-        assert cassels_bound(2, 1) == Fraction(5, 2)
-
-    def test_rejects_zero_s(self):
-        with pytest.raises(ValueError):
-            cassels_bound(0, 1)
-
-    @given(
-        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
-        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
-        st.fractions(min_value=0, max_value=1),
-        st.fractions(min_value=0, max_value=1),
-    )
-    def test_bound_contract(self, s, xy_cap, fx, fy):
-        # any x, y <= s with x*y <= t satisfies x + y <= s + t/s
-        x = s * fx
-        y = s * fy
-        t = max(x * y, xy_cap)
-        assert x + y <= cassels_bound(s, t)
 
 
 class TestUnitInverse:

@@ -74,7 +74,8 @@ class TestCoeffBounds:
             coeff_bounds(10, 0, fundamental_unit(10))
 
     def test_rejects_non_unit_or_unit_below_one(self):
-        for eps in (QuadInt(4, 1, 10), QuadInt(-3, 1, 10), QuadInt(1, 0, 10)):
+        for eps in (QuadInt(4, 1, 10), QuadInt(-3, 1, 10), QuadInt(3, -1, 10),
+                    QuadInt(1, 0, 10)):
             with pytest.raises(ValueError):
                 coeff_bounds(10, 6, eps)
 
@@ -134,9 +135,6 @@ class TestSolveNorm:
         # primitive orbits survive
         assert len(solve_norm(10, 6, primitive_only=True)) == 2
 
-    def test_fold_conjugates(self):
-        assert len(solve_norm(10, 6, fold_conjugates=True)) == 1
-
     def test_sorted_deterministically(self):
         reps = solve_norm(79, 15).reps
         keys = [(abs(r.b), abs(r.a)) for r in reps]
@@ -147,6 +145,11 @@ class TestSolveNorm:
             solve_norm(10, 0)
         with pytest.raises(ValueError):
             solve_norm(9, 5)
+        # a unit of Z[sqrt(2)] cannot bound the orbits of Z[sqrt(79)]
+        with pytest.raises(ValueError):
+            solve_norm(79, 15, eps=fundamental_unit(2))
+        with pytest.raises(ValueError):
+            is_representable(79, 15, eps=fundamental_unit(2))
 
     def test_conjugate_symmetry(self):
         for n in (1, 6, 9, 10, 15, 41):
