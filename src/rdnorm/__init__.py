@@ -1,7 +1,7 @@
 """Exact norm-form solving and unit reduction in real quadratic orders Z[sqrt(m)]."""
 
 from .pell import CFExpansion, cf_sqrt, fundamental_unit, is_unit, rd_unit
-from .qint import PerfectSquareError, QuadInt, cmp_real, is_square, sign_real
+from .qint import DomainError, PerfectSquareError, QuadInt, cmp_real, is_square, sign_real
 from .rdtheory import (
     Counterexample,
     NormClassifier,
@@ -36,6 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CFExpansion",
     "Counterexample",
+    "DomainError",
     "NormClassifier",
     "PerfectSquareError",
     "QuadInt",

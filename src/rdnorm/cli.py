@@ -3,7 +3,8 @@
 Subcommands: unit, solve, reduce, verify, witness.  Human-readable output
 by default, one JSON document on stdout with --json; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found exceptions, 2 usage
-or domain error.
+or domain error (DomainError); any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .pell import cf_sqrt, fundamental_unit
-from .qint import QuadInt
+from .qint import DomainError, QuadInt
 from .rdtheory import PROP_IDS, class_number_witness, verify_prop
 from .reduction import reduce_window
 from .solve import solve_norm
@@ -162,11 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Arguments keep the 4300-digit int<->str limit (absent before Python
+    # 3.10.7), so an overlong one exits 2; output of any size prints.
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except DomainError as exc:
         _emit_error(args, args.command, "domain-error", str(exc))
         return EXIT_USAGE
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .qint import QuadInt, check_radicand
+from .qint import DomainError, QuadInt, check_radicand
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def period_end_convergent(m: int) -> tuple[int, int]:
     return p, q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def fundamental_unit(m: int) -> QuadInt:
     """Smallest unit eps = a + b*sqrt(m) of Z[sqrt(m)] with eps > 1.
 
@@ -87,7 +87,7 @@ def rd_unit(t: int, r: int) -> QuadInt | None:
     """
     m = t * t + r
     if t < 1 or r == 0 or abs(r) > t or (4 * t) % r != 0:
-        raise ValueError(f"(t={t}, r={r}) is not a valid t**2+r decomposition")
+        raise DomainError(f"(t={t}, r={r}) is not a valid t**2+r decomposition")
     if r in (1, -1):
         return QuadInt(t, 1, m)
     if r == 2:

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 from math import isqrt
 
 
-class PerfectSquareError(ValueError):
+class DomainError(ValueError):
+    """Input outside the domain rdnorm answers for; any other error is a bug."""
+
+
+class PerfectSquareError(DomainError):
     """Radicand is a perfect square, so sqrt(m) would be rational."""
 
 
@@ -24,7 +28,7 @@ def is_square(n: int) -> bool:
 def check_radicand(m: int) -> None:
     """Reject radicands outside the supported domain (m >= 2, nonsquare)."""
     if m < 2:
-        raise ValueError(f"radicand must be >= 2, got {m}")
+        raise DomainError(f"radicand must be >= 2, got {m}")
     if is_square(m):
         raise PerfectSquareError(f"radicand {m} is a perfect square")
 
@@ -38,7 +42,7 @@ class QuadInt:
     """a + b*sqrt(m) with arbitrary-precision integer coefficients.
 
     Values are immutable; arithmetic requires equal radicands and raises
-    ValueError on a mismatch.  Plain ints coerce to rational elements.
+    DomainError on a mismatch.  Plain ints coerce to rational elements.
     """
 
     a: int
@@ -53,7 +57,7 @@ class QuadInt:
     def _coerce(self, other: "QuadInt | int") -> "QuadInt | None":
         if isinstance(other, QuadInt):
             if other.m != self.m:
-                raise ValueError(
+                raise DomainError(
                     f"mismatched radicands: {self.m} vs {other.m}")
             return other
         if isinstance(other, int):

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 from warnings import warn
 
 from .pell import fundamental_unit
-from .qint import QuadInt, check_radicand, is_square
+from .qint import DomainError, QuadInt, check_radicand, is_square
 from .solve import canonical_rep, is_representable, solve_norm
 
 
@@ -48,24 +48,21 @@ def rd_classify(m: int) -> RDForm | None:
 class NormClassifier:
     """Which n < threshold an exclusion rule allows to be representable.
 
-    listed is the rule's explicit finite set; square_escape admits perfect
-    squares, double_square_escape admits n with 2n square.  Rule 2.6
-    additionally constrains individual solution orbits (handled by
-    verify_prop, not expressible as a predicate on n alone).
+    Perfect squares (n = x**2 - m*0**2) are always allowed; listed is the
+    rule's explicit finite set, double_square_escape admits n with 2n
+    square.  Rule 2.6 additionally constrains individual solution orbits
+    (handled by verify_prop, not expressible as a predicate on n alone).
     """
 
     prop_id: str
     t: int
     threshold: int
     listed: tuple[int, ...]
-    square_escape: bool = False
     double_square_escape: bool = False
     orbit_clause: bool = False
 
     def allows(self, n: int) -> bool:
-        if n >= self.threshold or n in self.listed:
-            return True
-        if self.square_escape and is_square(n):
+        if n >= self.threshold or n in self.listed or is_square(n):
             return True
         if self.double_square_escape and is_square(2 * n):
             return True
@@ -80,16 +77,16 @@ class _Rule(NamedTuple):
 
 _RULES = {
     "2.3": _Rule(2, 1, lambda t: NormClassifier(
-        "2.3", t, 2 * t, (), square_escape=True)),
+        "2.3", t, 2 * t, ())),
     "2.4": _Rule(2, 1, lambda t: NormClassifier(
-        "2.4", t, 4 * t + 3, (4 * t - 3, 2 * t), square_escape=True)),
+        "2.4", t, 4 * t + 3, (4 * t - 3, 2 * t))),
     "2.5": _Rule(12, 2, lambda t: NormClassifier(
         "2.5", t, 4 * t + 2, (2 * t - 1, 2 * t + 1, 4 * t - 7, 4 * t - 2),
-        square_escape=True, double_square_escape=True)),
+        double_square_escape=True)),
     "2.6": _Rule(12, -2, lambda t: NormClassifier(
         "2.6", t, 4 * t + 6,
         (2 * t - 3, 2 * t + 3, 4 * t - 9, 4 * t - 6, 4 * t + 6),
-        square_escape=True, orbit_clause=True)),
+        orbit_clause=True)),
 }
 
 PROP_IDS = tuple(_RULES)
@@ -97,7 +94,7 @@ PROP_IDS = tuple(_RULES)
 
 def _rule(prop_id: str) -> _Rule:
     if prop_id not in _RULES:
-        raise ValueError(f"unknown rule id {prop_id!r}")
+        raise DomainError(f"unknown rule id {prop_id!r}")
     return _RULES[prop_id]
 
 
@@ -123,7 +120,7 @@ def prop26_generators(t: int) -> list[QuadInt]:
     last four equal 2*(t+-1+-sqrt(m)) and have |norm| 4*(2t+-3).
     """
     if t < 2:
-        raise ValueError("t must be >= 2")
+        raise DomainError("t must be >= 2")
     m = t * t - 2
     gens = [QuadInt(t + e, s, m) for e in (1, -1, 2, -2) for s in (1, -1)]
     gens += [QuadInt(2 * t - 1, s, m) for s in (2, -2)]
@@ -216,13 +213,17 @@ def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
 
     The t values run in order in this process.  For each t the full range
     n < threshold is solved and every solution not covered by the rule is
-    reported with a witness.
+    reported with a witness.  t below the rule's first t runs with a warning.
     """
-    _rule(prop_id)
-    if t_min < 1:
-        raise ValueError("t_min must be at least 1")
+    rule = _rule(prop_id)
+    stated = f"rule {prop_id} is stated for t >= {rule.first_t}"
+    if t_min < 1 or prop_radicand(prop_id, t_min) < 2:
+        raise DomainError(f"{stated} and needs m = t**2{rule.r:+d} >= 2, "
+                          f"got t_min={t_min}")
+    if t_min < rule.first_t:
+        warn(f"{stated}, got t_min={t_min}", stacklevel=2)
     if t_min > t_max:
-        raise ValueError("t_min must not exceed t_max")
+        raise DomainError("t_min must not exceed t_max")
     checked = 0
     exceptions: list[Counterexample] = []
     for t in range(t_min, t_max + 1):
@@ -307,13 +308,13 @@ def class_number_witness(l: int, q: int) -> Witness:
     lie below the bound up to which is_prime is proven.
     """
     if l <= 1:
-        raise ValueError("l must exceed 1")
+        raise DomainError("l must exceed 1")
     if q >= _MR_PROVEN_BELOW:
-        raise ValueError(
+        raise DomainError(
             f"q = {q} is too large: primality is proven only below "
             f"{_MR_PROVEN_BELOW}")
     if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+        raise DomainError(f"q = {q} is not prime")
     t = 2 * l * q
     m = t * t + 1
     split = m % q == 1 if q != 2 else m % 8 == 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pell import is_unit
-from .qint import QuadInt
+from .qint import DomainError, QuadInt
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,17 @@ def unit_inverse(eps: QuadInt) -> QuadInt:
         return eps.conj()
     if nrm == -1:
         return -eps.conj()
-    raise ValueError(f"{eps} is not a unit (norm {nrm})")
+    raise DomainError(f"{eps} is not a unit (norm {nrm})")
 
 
 def _check_reducer(eps: QuadInt) -> None:
     if not is_unit(eps):
-        raise ValueError(f"{eps} is not a unit")
+        raise DomainError(f"{eps} is not a unit")
     # A unit eps > 1 has |conj(eps)| = 1/eps < 1, so a = (eps + conj)/2 and
     # b*sqrt(m) = (eps - conj)/2 are both positive; conversely a, b >= 1
     # give eps >= 1 + sqrt(m) > 1.
     if eps.a < 1 or eps.b < 1:
-        raise ValueError(f"unit {eps} must exceed 1")
+        raise DomainError(f"unit {eps} must exceed 1")
 
 
 def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
@@ -61,7 +61,7 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     makes the exponent unique.
     """
     if xi.is_zero():
-        raise ValueError("cannot reduce zero")
+        raise DomainError("cannot reduce zero")
     _check_reducer(eps)
     n = abs(xi.norm())
     alpha = abs(xi)
@@ -95,9 +95,9 @@ def reduce_half(
     """
     t = delta.a
     if delta.b != 1 or t < 1 or delta.m != t * t + 2:
-        raise ValueError(f"delta must be t + sqrt(t**2+2), got {delta}")
+        raise DomainError(f"delta must be t + sqrt(t**2+2), got {delta}")
     if delta * delta != 2 * eps:
-        raise ValueError("delta**2 != 2*eps")
+        raise DomainError("delta**2 != 2*eps")
 
     res = reduce_window(xi, eps)
     j, alpha, n = res.j, res.alpha, res.n

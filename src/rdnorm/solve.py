@@ -10,10 +10,11 @@ with a residue sieve and numpy; the pure-Python path is the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 from .pell import fundamental_unit
-from .qint import QuadInt, _sgn, check_radicand
+from .qint import DomainError, QuadInt, _sgn
 from .reduction import _check_reducer, reduce_window
 
 _NUMPY_CUTOFF = 4096  # below this b-range the plain loop wins
@@ -34,9 +35,9 @@ def coeff_bounds(m: int, n: int, eps: QuadInt) -> tuple[int, int]:
     edge (e.g. m=146, n=2, representative -12 + sqrt(146)).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if eps.m != m:
-        raise ValueError(f"unit {eps} does not lie in Z[sqrt({m})]")
+        raise DomainError(f"unit {eps} does not lie in Z[sqrt({m})]")
     _check_reducer(eps)
     if eps.norm() == 1:
         s = 2 * n * (eps.a + 1)
@@ -71,17 +72,14 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
     """
     import numpy as np
 
-    global _SQ64, _SQ63, _SQ65
-    if _SQ64 is None:
-        _SQ64, _SQ63, _SQ65 = _build_tables()
-
+    sq64, sq63, sq65 = _build_tables()
     hits = []
     span = np.arange(4032, dtype=np.int64)
     chunk_groups = max(1, (1 << 21) // 4032)
     for s in (n, -n):
         vals = (m * span * span + s) % 4032
         lead = np.flatnonzero(
-            _SQ64[vals & 63] & _SQ63[vals % 63]
+            sq64[vals & 63] & sq63[vals % 63]
         ).astype(np.int64)
         if lead.size == 0:
             continue
@@ -92,7 +90,7 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
             ).ravel()
             b = b[b <= b_max]
             w = m * b * b + s
-            keep = _SQ65[w % 65] & (w >= 0)
+            keep = sq65[w % 65] & (w >= 0)
             b = b[keep]
             w = w[keep]
             a = np.sqrt(w.astype(np.float64)).astype(np.int64)
@@ -109,6 +107,7 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
     return hits
 
 
+@cache
 def _build_tables():
     import numpy as np
 
@@ -119,9 +118,6 @@ def _build_tables():
         return t
 
     return table(64), table(63), table(65)
-
-
-_SQ64 = _SQ63 = _SQ65 = None
 
 
 def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
@@ -176,9 +172,8 @@ def solve_norm(
     dropped (the gcd test runs on the raw candidate, which is equivalent
     on the whole orbit since units are primitive).
     """
-    check_radicand(m)
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 1:  # before fundamental_unit, which may take long for big m
+        raise DomainError("n must be positive")
     if eps is None:
         eps = fundamental_unit(m)
     _, b_bound = coeff_bounds(m, n, eps)
@@ -205,7 +200,7 @@ def brute_oracle(m: int, n: int, x_max: int, y_max: int) -> list[tuple[int, int]
     the solver is checked against.
     """
     if x_max < 0 or y_max < 0:
-        raise ValueError("bounds must be nonnegative")
+        raise DomainError("bounds must be nonnegative")
     out = []
     for y in range(y_max + 1):
         myy = m * y * y

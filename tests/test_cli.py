@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import rdnorm
+from rdnorm import cli
 from rdnorm.cli import EXIT_EXCEPTIONS, EXIT_OK, EXIT_USAGE, main
 
 
@@ -41,6 +42,21 @@ class TestUnit:
         assert code == EXIT_USAGE
         assert doc["ok"] is False and doc["error"]["code"] == "domain-error"
         assert "error:" in err
+
+    def test_unit_beyond_str_digit_limit(self, capsys):
+        # a 6382-digit unit, past CPython's default 4300-digit str limit
+        limit = sys.get_int_max_str_digits()
+        code, doc, _ = run_json(capsys, "unit", "1000000007")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit  # main restores it
+        r = doc["result"]
+        assert len(r["a"]) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            a, b = int(r["a"]), int(r["b"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert a * a - 1000000007 * b * b in (1, -1)
 
 
 class TestSolve:
@@ -80,6 +96,12 @@ class TestReduce:
         assert doc["result"]["j"] != 0 or doc["result"]["alpha"] != {"a": "4", "b": "-1"}
         assert doc["result"]["n"] == "6"
 
+    def test_input_beyond_str_digit_limit_exit_2(self, capsys):
+        # arguments keep the 4300-digit limit; only output is lifted
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "2", "1" + "0" * 4300 + "1", "1"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_zero_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "reduce", "10", "0", "0")
         assert code == EXIT_USAGE
@@ -111,6 +133,18 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "2.5", "--t-min", "-40",
                                 "--t-max", "-12")
         assert code == EXIT_USAGE and doc["ok"] is False
+        # m = t**2 - 2 = -1 at t = 1
+        code, doc, _ = run_json(capsys, "verify", "2.6", "--t-min", "1",
+                                "--t-max", "3")
+        assert code == EXIT_USAGE
+        message = doc["error"]["message"]
+        assert "rule 2.6" in message and "t >= 12" in message
+
+    def test_below_first_t_warns(self, capsys):
+        with pytest.warns(UserWarning, match=r"rule 2\.5 .*t >= 12"):
+            code, _, _ = run(capsys, "verify", "2.5", "--t-min", "1",
+                             "--t-max", "11")
+        assert code == EXIT_EXCEPTIONS
 
 
 class TestWitness:
@@ -146,6 +180,15 @@ class TestInvocation:
     def test_json_is_single_document(self, capsys):
         _, out, _ = run(capsys, "solve", "10", "6", "--json")
         json.loads(out)  # raises if more than one document
+
+    def test_internal_error_is_not_domain_error(self, monkeypatch):
+        # only DomainError is bad input; any other error is a bug and surfaces
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "solve_norm", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["solve", "10", "6"])
 
     def test_missing_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -83,6 +83,10 @@ class TestFundamentalUnit:
         # Z[sqrt(5)] excludes the golden ratio; smallest unit > 1 is 2+sqrt(5)
         assert fundamental_unit(5) == QuadInt(2, 1, 5)
 
+    def test_cache_is_bounded(self):
+        # a fixed number of units, however many m one process sees
+        assert fundamental_unit.cache_info().maxsize is not None
+
     def test_norm_sign_matches_period_parity(self):
         for m in range(2, 200):
             if is_square(m):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from rdnorm import PerfectSquareError, QuadInt, cmp_real, is_square
+from rdnorm import DomainError, PerfectSquareError, QuadInt, cmp_real, is_square
 
 nonsquare_m = st.integers(2, 10**6).filter(lambda m: not is_square(m))
 coeff = st.integers(-(10**30), 10**30)
@@ -41,6 +41,7 @@ class TestConstruction:
 
     def test_perfect_square_error_is_value_error(self):
         assert issubclass(PerfectSquareError, ValueError)
+        assert issubclass(PerfectSquareError, DomainError)
 
 
 class TestArithmetic:

@@ -1,6 +1,7 @@
 import pytest
 
 from rdnorm import (
+    DomainError,
     QuadInt,
     allowed_set,
     class_number_witness,
@@ -153,6 +154,12 @@ class TestVerifyProp:
             verify_prop("2.3", 5, 2)
         with pytest.raises(ValueError):
             verify_prop("2.3", -5, -1)
+        # m = t**2 - 2 < 2 at t = 1
+        with pytest.raises(DomainError, match=r"2\.6 .*t >= 12"):
+            verify_prop("2.6", 1, 3)
+        # below the rule's first t the sweep runs, with a warning
+        with pytest.warns(UserWarning, match=r"2\.5 .*t >= 12"):
+            assert not verify_prop("2.5", 1, 11).clean
 
     def test_report_json_shape(self):
         doc = verify_prop("2.4", 3, 3).to_json()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rdnorm import (
+    DomainError,
     QuadInt,
     brute_oracle,
     canonical_rep,
@@ -143,6 +144,9 @@ class TestSolveNorm:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             solve_norm(10, 0)
+        # rejected before the long unit computation of a huge m
+        with pytest.raises(DomainError):
+            solve_norm(123456789012345678901234567891, 0)
         with pytest.raises(ValueError):
             solve_norm(9, 5)
         # a unit of Z[sqrt(2)] cannot bound the orbits of Z[sqrt(79)]
