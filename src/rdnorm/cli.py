@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .pell import cf_sqrt, fundamental_unit
+from .pell import cf_sqrt, fundamental_unit, period_end_convergent
 from .qint import DomainError, QuadInt
 from .rdtheory import PROP_IDS, class_number_witness, verify_prop
 from .reduction import reduce_window
@@ -33,20 +33,20 @@ def _emit(args, command: str, result: dict, human: list[str]) -> None:
             print(line)
 
 
-def _emit_error(args, command: str, code: str, message: str) -> None:
+def _emit_error(args, command: str, message: str) -> None:
     if args.json:
         envelope = {
             "command": command,
             "ok": False,
-            "error": {"code": code, "message": message},
+            "error": {"code": "domain-error", "message": message},
         }
         print(json.dumps(envelope, indent=2))
     print(f"error: {message}", file=sys.stderr)
 
 
 def cmd_unit(args) -> int:
-    eps = fundamental_unit(args.m)
     cf = cf_sqrt(args.m)
+    eps = QuadInt(*period_end_convergent(cf), args.m)
     result = {
         "m": str(args.m),
         "a": str(eps.a),
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DomainError as exc:
-        _emit_error(args, args.command, "domain-error", str(exc))
+        _emit_error(args, args.command, str(exc))
         return EXIT_USAGE
     finally:
         set_limit(limit)

@@ -47,13 +47,12 @@ def cf_sqrt(m: int) -> CFExpansion:
     return CFExpansion(a0, tuple(period))
 
 
-def period_end_convergent(m: int) -> tuple[int, int]:
-    """Convergent p/q of sqrt(m) just before the period repeats.
+def period_end_convergent(cf: CFExpansion) -> tuple[int, int]:
+    """Convergent p/q of the expansion cf just before the period repeats.
 
     p + q*sqrt(m) is the fundamental unit of Z[sqrt(m)]; its norm is
     (-1) ** period_length.
     """
-    cf = cf_sqrt(m)
     p_prev, p = 1, cf.a0
     q_prev, q = 0, 1
     for a in cf.period[:-1]:
@@ -69,7 +68,7 @@ def fundamental_unit(m: int) -> QuadInt:
     Both coefficients are positive and |norm| = 1; the norm is -1 exactly
     when the continued-fraction period of sqrt(m) has odd length.
     """
-    p, q = period_end_convergent(m)
+    p, q = period_end_convergent(cf_sqrt(m))
     return QuadInt(p, q, m)
 
 

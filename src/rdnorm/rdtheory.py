@@ -16,7 +16,7 @@ from warnings import warn
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, check_radicand, is_square
-from .solve import canonical_rep, is_representable, solve_norm
+from .solve import _norm_table, canonical_rep, is_representable
 
 
 @dataclass(frozen=True)
@@ -173,47 +173,30 @@ def _is_integer_times_unit(rep: QuadInt) -> bool:
     return (rep.a // g) ** 2 - rep.m * (rep.b // g) ** 2 in (1, -1)
 
 
-def _verify_single_t(prop_id: str, t: int) -> tuple[int, list[Counterexample]]:
+def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     cls = _rule(prop_id).classifier(t)
     m = prop_radicand(prop_id, t)
     eps = fundamental_unit(m)
-    checked = 0
-    exceptions: list[Counterexample] = []
-
+    table = _norm_table(m, cls.threshold, eps)
     if not cls.orbit_clause:
-        for n in range(1, cls.threshold):
-            checked += 1
-            if cls.allows(n):
-                continue
-            sols = solve_norm(m, n, eps=eps)
-            if sols.reps:
-                rep = sols.reps[0]
-                exceptions.append(Counterexample(t, n, rep.a, rep.b))
-        return checked, exceptions
+        return [Counterexample(t, n, reps[0].a, reps[0].b)
+                for n, reps in table.items() if not cls.allows(n)]
 
     # 2.6: every orbit must be an integer times a unit or associate to a
     # listed generator (norms force n into the listed set for the latter).
-    gen_reps = {
-        (g.a, g.b)
-        for g in (canonical_rep(g, eps) for g in prop26_generators(t))
-    }
-    for n in range(1, cls.threshold):
-        checked += 1
-        for rep in solve_norm(m, n, eps=eps).reps:
-            if _is_integer_times_unit(rep):
-                continue
-            if (rep.a, rep.b) in gen_reps:
-                continue
-            exceptions.append(Counterexample(t, n, rep.a, rep.b))
-    return checked, exceptions
+    gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
+    return [Counterexample(t, n, rep.a, rep.b)
+            for n, reps in table.items() for rep in reps
+            if not _is_integer_times_unit(rep) and rep not in gen_reps]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
     """Exhaustively test one exclusion rule for every t in [t_min, t_max].
 
-    The t values run in order in this process.  For each t the full range
-    n < threshold is solved and every solution not covered by the rule is
-    reported with a witness.  t below the rule's first t runs with a warning.
+    The t values run in order in this process.  For each t the solutions of
+    every n < threshold are enumerated once, in one table, and every
+    solution not covered by the rule is reported with a witness.  t below
+    the rule's first t runs with a warning.
     """
     rule = _rule(prop_id)
     stated = f"rule {prop_id} is stated for t >= {rule.first_t}"
@@ -224,13 +207,10 @@ def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
         warn(f"{stated}, got t_min={t_min}", stacklevel=2)
     if t_min > t_max:
         raise DomainError("t_min must not exceed t_max")
-    checked = 0
-    exceptions: list[Counterexample] = []
-    for t in range(t_min, t_max + 1):
-        c, exc = _verify_single_t(prop_id, t)
-        checked += c
-        exceptions.extend(exc)
-    return VerificationReport(prop_id, t_min, t_max, checked, tuple(exceptions))
+    ts = range(t_min, t_max + 1)
+    checked = sum(rule.classifier(t).threshold - 1 for t in ts)
+    exceptions = tuple(e for t in ts for e in _verify_single_t(prop_id, t))
+    return VerificationReport(prop_id, t_min, t_max, checked, exceptions)
 
 
 # -- class-number witness -----------------------------------------------------

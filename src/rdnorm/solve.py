@@ -5,6 +5,9 @@ window representative a + b*sqrt(m) with |b| <= B, so it suffices to
 square-test m*b**2 +- n for b in [0, B] and collapse the hits onto their
 canonical window representatives.  For large B the square-testing is done
 with a residue sieve and numpy; the pure-Python path is the reference.
+A sweep over every n below some N instead walks, in one pass, each b up to
+the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and buckets the
+hits by n (_norm_table).
 """
 
 from __future__ import annotations
@@ -81,8 +84,6 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
         lead = np.flatnonzero(
             sq64[vals & 63] & sq63[vals % 63]
         ).astype(np.int64)
-        if lead.size == 0:
-            continue
         for g0 in range(0, b_max // 4032 + 1, chunk_groups):
             g1 = min(g0 + chunk_groups, b_max // 4032 + 1)
             b = (
@@ -94,15 +95,10 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
             b = b[keep]
             w = w[keep]
             a = np.sqrt(w.astype(np.float64)).astype(np.int64)
-            found = np.zeros(b.shape, dtype=bool)
-            root = np.zeros_like(a)
-            for d in (-1, 0, 1):
+            for d in (-1, 0, 1):  # at most one offset is the exact root
                 cand = a + d
                 ok = (cand >= 0) & (cand * cand == w)
-                root = np.where(ok, cand, root)
-                found |= ok
-            for i in np.flatnonzero(found):
-                hits.append((int(root[i]), int(b[i])))
+                hits.extend(zip(cand[ok].tolist(), b[ok].tolist()))
     hits.sort(key=lambda h: (h[1], h[0]))
     return hits
 
@@ -136,6 +132,35 @@ def canonical_rep(alpha: QuadInt, eps: QuadInt) -> QuadInt:
 
 def _sort_key(x: QuadInt):
     return (abs(x.b), abs(x.a), -_sgn(x.b), -_sgn(x.a))
+
+
+def _orbits(m: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
+    """Canonical representatives of the orbits of +-a + b*sqrt(m) over the
+    hits (a, b), each once, in _sort_key order."""
+    reps: dict[tuple[int, int], QuadInt] = {}
+    for a, b in hits:
+        for x in (a, -a) if a else (0,):
+            rep = canonical_rep(QuadInt(x, b, m), eps)
+            reps[(rep.a, rep.b)] = rep
+    return tuple(sorted(reps.values(), key=_sort_key))
+
+
+def _norm_table(m: int, N: int, eps: QuadInt) -> dict[int, tuple[QuadInt, ...]]:
+    """Orbit representatives of every norm 0 < n < N from one pass.
+
+    Walks each b up to the bound for N - 1 and the few a with
+    |a**2 - m*b**2| < N; hits past the bound of their own n only land in
+    orbits already found.  Maps n, ascending, to exactly the reps of
+    solve_norm(m, n, eps=eps); an n without solutions has no key.
+    """
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
+        v = m * b * b
+        for a in range(isqrt(max(v - N, 0)), isqrt(v + N - 1) + 1):
+            n = abs(a * a - v)
+            if 0 < n < N:
+                hits.setdefault(n, []).append((a, b))
+    return {n: _orbits(m, eps, hits[n]) for n in sorted(hits)}
 
 
 @dataclass(frozen=True)
@@ -177,15 +202,9 @@ def solve_norm(
     if eps is None:
         eps = fundamental_unit(m)
     _, b_bound = coeff_bounds(m, n, eps)
-    reps: dict[tuple[int, int], QuadInt] = {}
-    for a, b in _scan(m, n, b_bound):
-        if primitive_only and gcd(a, b) != 1:
-            continue
-        for x in (a, -a) if a else (0,):
-            rep = canonical_rep(QuadInt(x, b, m), eps)
-            reps[(rep.a, rep.b)] = rep
-    ordered = sorted(reps.values(), key=_sort_key)
-    return SolutionSet(m=m, n=n, eps=eps, reps=tuple(ordered))
+    hits = [(a, b) for a, b in _scan(m, n, b_bound)
+            if not primitive_only or gcd(a, b) == 1]
+    return SolutionSet(m=m, n=n, eps=eps, reps=_orbits(m, eps, hits))
 
 
 def is_representable(m: int, n: int, eps: QuadInt | None = None) -> bool:

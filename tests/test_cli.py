@@ -37,6 +37,21 @@ class TestUnit:
         assert r["norm"] == 1
         assert r["cf_period_length"] == 2
 
+    def test_expands_continued_fraction_once(self, capsys, monkeypatch):
+        calls = []
+        expand = rdnorm.pell.cf_sqrt
+
+        def counted(m):
+            calls.append(m)
+            return expand(m)
+
+        monkeypatch.setattr(cli, "cf_sqrt", counted)
+        monkeypatch.setattr(rdnorm.pell, "cf_sqrt", counted)
+        rdnorm.pell.fundamental_unit.cache_clear()  # a cached unit hides calls
+        code, _, _ = run(capsys, "unit", "94")
+        assert code == EXIT_OK
+        assert calls == [94]
+
     def test_square_radicand_is_domain_error(self, capsys):
         code, doc, err = run_json(capsys, "unit", "9")
         assert code == EXIT_USAGE

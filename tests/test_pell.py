@@ -67,7 +67,7 @@ class TestCFExpansion:
         for m in range(2, 300):
             if is_square(m):
                 continue
-            p, q = period_end_convergent(m)
+            p, q = period_end_convergent(cf_sqrt(m))
             assert abs(p * p - m * q * q) == 1
 
 

@@ -1,15 +1,19 @@
 import pytest
 
 from rdnorm import (
+    Counterexample,
     DomainError,
     QuadInt,
+    VerificationReport,
     allowed_set,
+    canonical_rep,
     class_number_witness,
     fundamental_unit,
     is_prime,
     prop26_generators,
     prop_radicand,
     rd_classify,
+    solve_norm,
     verify_prop,
 )
 from rdnorm.rdtheory import PROP_IDS, _is_integer_times_unit
@@ -160,6 +164,44 @@ class TestVerifyProp:
         # below the rule's first t the sweep runs, with a warning
         with pytest.warns(UserWarning, match=r"2\.5 .*t >= 12"):
             assert not verify_prop("2.5", 1, 11).clean
+
+    @staticmethod
+    def per_n_reference(prop_id, t_min, t_max):
+        """The sweep by one solve_norm per n < threshold, checked on its own."""
+        from math import gcd
+
+        checked, exceptions = 0, []
+        for t in range(t_min, t_max + 1):
+            cls = allowed_set(prop_id, t)
+            m = prop_radicand(prop_id, t)
+            eps = fundamental_unit(m)
+            gens = ({canonical_rep(g, eps) for g in prop26_generators(t)}
+                    if cls.orbit_clause else set())
+            for n in range(1, cls.threshold):
+                checked += 1
+                reps = solve_norm(m, n, eps=eps).reps
+                if not cls.orbit_clause:
+                    if reps and not cls.allows(n):
+                        exceptions.append(
+                            Counterexample(t, n, reps[0].a, reps[0].b))
+                    continue
+                for r in reps:
+                    g = gcd(r.a, r.b)
+                    unit_times = abs((r.a // g) ** 2 - m * (r.b // g) ** 2) == 1
+                    if not unit_times and r not in gens:
+                        exceptions.append(Counterexample(t, n, r.a, r.b))
+        return VerificationReport(prop_id, t_min, t_max, checked,
+                                  tuple(exceptions))
+
+    @pytest.mark.parametrize("prop_id", PROP_IDS)
+    def test_matches_per_n_solves(self, prop_id):
+        first = 2 if prop_id in ("2.3", "2.4") else 12
+        ranges = [(first, first + 57)] + [(t, t) for t in (137, 500, 1000)]
+        if prop_id == "2.4":
+            ranges.append((10**4, 10**4))
+        for t_min, t_max in ranges:
+            assert verify_prop(prop_id, t_min, t_max) == \
+                self.per_n_reference(prop_id, t_min, t_max)
 
     def test_report_json_shape(self):
         doc = verify_prop("2.4", 3, 3).to_json()

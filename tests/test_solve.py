@@ -1,20 +1,23 @@
 import random
+from math import isqrt
 
 import pytest
 
 from rdnorm import (
     DomainError,
     QuadInt,
+    allowed_set,
     brute_oracle,
     canonical_rep,
     coeff_bounds,
     fundamental_unit,
     is_representable,
     is_square,
+    prop_radicand,
     rd_unit,
     solve_norm,
 )
-from rdnorm.solve import _scan_np, _scan_py
+from rdnorm.solve import _NUMPY_CUTOFF, _norm_table, _scan_np, _scan_py
 
 
 def collapse(pairs, m, eps):
@@ -30,7 +33,6 @@ def collapse(pairs, m, eps):
 def oracle_box(m, n, eps):
     """A box guaranteed to contain the window box, plus one eps-multiple
     when that stays affordable for the double-loop oracle."""
-    from math import isqrt
 
     a_max, b_max = coeff_bounds(m, n, eps)
     corner = QuadInt(a_max, b_max, m) * eps + QuadInt(1, 1, m)
@@ -226,6 +228,55 @@ class TestScanPaths:
                 continue
             b_max = rng.randrange(0, 30000)
             assert sorted(_scan_np(m, n, b_max)) == sorted(_scan_py(m, n, b_max))
+        # one more batch past the cutoff where _scan picks the sieve, with
+        # m*b**2 near 2**60, past the 53 bits a float holds exactly; each n
+        # is chosen so that (a0, b0) is a hit
+        rng = random.Random(8)
+        for _ in range(12):
+            m = rng.randrange(10**8, 10**9)
+            if is_square(m):
+                continue
+            b_max = rng.randrange(_NUMPY_CUTOFF, 40000)
+            b0 = rng.randrange(b_max // 2, b_max + 1)
+            a0 = isqrt(m * b0 * b0) + rng.randrange(2)
+            n = abs(a0 * a0 - m * b0 * b0)
+            hits = _scan_py(m, n, b_max)
+            assert (a0, b0) in hits
+            assert sorted(_scan_np(m, n, b_max)) == sorted(hits)
+
+
+class TestNormTable:
+    """_norm_table must equal one solve_norm per n < N, order included."""
+
+    @staticmethod
+    def assert_matches_per_n(m, N, eps):
+        table = _norm_table(m, N, eps)
+        assert list(table) == sorted(table)
+        assert all(0 < n < N and reps for n, reps in table.items())
+        for n in range(1, N):
+            # a missing key means n has no solutions
+            assert table.get(n, ()) == solve_norm(m, n, eps=eps).reps, (m, N, n)
+
+    def test_rule_radicands_at_rule_thresholds(self):
+        for prop_id, ts in (("2.3", range(2, 60)), ("2.4", range(2, 60)),
+                            ("2.5", range(12, 70)), ("2.6", range(12, 70))):
+            for t in ts:
+                m = prop_radicand(prop_id, t)
+                N = allowed_set(prop_id, t).threshold
+                self.assert_matches_per_n(m, N, fundamental_unit(m))
+
+    def test_random_radicands_both_unit_norms(self):
+        rng = random.Random(5)
+        seen = {1: 0, -1: 0}
+        while min(seen.values()) < 12:
+            m, N = rng.randrange(2, 1000), rng.randrange(2, 200)
+            if is_square(m):
+                continue
+            eps = fundamental_unit(m)
+            if eps.a > 10**6 or seen[eps.norm()] >= 12:
+                continue  # the scans' b-range grows with the unit
+            seen[eps.norm()] += 1
+            self.assert_matches_per_n(m, N, eps)
 
 
 class TestSolutionSetJSON:
