@@ -177,13 +177,14 @@ def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     cls = _rule(prop_id).classifier(t)
     m = prop_radicand(prop_id, t)
     eps = fundamental_unit(m)
-    table = _norm_table(m, cls.threshold, eps)
     if not cls.orbit_clause:
+        table = _norm_table(m, cls.threshold, eps, lambda n: not cls.allows(n))
         return [Counterexample(t, n, reps[0].a, reps[0].b)
-                for n, reps in table.items() if not cls.allows(n)]
+                for n, reps in table.items()]
 
     # 2.6: every orbit must be an integer times a unit or associate to a
     # listed generator (norms force n into the listed set for the latter).
+    table = _norm_table(m, cls.threshold, eps)
     gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
     return [Counterexample(t, n, rep.a, rep.b)
             for n, reps in table.items() for rep in reps

@@ -1,14 +1,18 @@
 """Placing an element of Z[sqrt(m)] into a multiplicative window.
 
 Every nonzero xi has a unique associate +-xi*eps**j that is positive and
-lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The window tests
-are carried out on squared (or fourth-power) quantities so that they stay
-inside Z[sqrt(m)] and are decided exactly by sign_real.
+lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The exponent j
+is guessed from floating-point logarithms and applied by binary powering;
+exact steps by eps then fix it up.  The window tests are carried out on
+squared (or fourth-power) quantities so that they stay inside Z[sqrt(m)]
+and are decided exactly by sign_real: the float guess only sets where the
+steps start, never where they stop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log, log1p
 
 from .pell import is_unit
 from .qint import DomainError, QuadInt
@@ -53,12 +57,40 @@ def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
     return (sq * eps - n).sign_real() >= 0 and (n * eps - sq).sign_real() > 0
 
 
+def _log_abs_sum(x: QuadInt) -> float:
+    """log(|a| + |b|*sqrt(m)) of a nonzero x = a + b*sqrt(m), free of
+    cancellation whatever the signs of a and b."""
+    if x.b == 0:
+        return log(abs(x.a))
+    lb = log(abs(x.b)) + log(x.m) / 2
+    if x.a == 0:
+        return lb
+    la = log(abs(x.a))
+    return max(la, lb) + log1p(exp(-abs(la - lb)))
+
+
+def _guess_exponent(alpha: QuadInt, eps: QuadInt, n: int) -> int:
+    """Float estimate of the j that puts alpha*eps**j into the window.
+
+    The window is centred on sqrt(n) in log scale, so j is the nearest
+    integer to (log(n)/2 - log(alpha)) / log(eps).  alpha > 0, so a negative
+    coefficient means mixed signs; then alpha is small against its
+    coefficients, and log(alpha) is taken as log(n) minus the log of the
+    conjugate's absolute value, |a| + |b|*sqrt(m).
+    """
+    log_alpha = _log_abs_sum(alpha)
+    if alpha.a < 0 or alpha.b < 0:
+        log_alpha = log(n) - log_alpha
+    return round((log(n) / 2 - log_alpha) / _log_abs_sum(eps))
+
+
 def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     """Reduce xi to its canonical positive associate in [c, c*eps).
 
-    The exponent is found by exact iteration: eps > 1 guarantees that
-    multiplying or dividing by eps terminates, and the half-open window
-    makes the exponent unique.
+    A float guess of the exponent is applied by binary powering, and exact
+    steps then finish the job: eps > 1 guarantees that multiplying or
+    dividing by eps terminates, and the half-open window makes the exponent
+    unique, so the result does not depend on the guess.
     """
     if xi.is_zero():
         raise DomainError("cannot reduce zero")
@@ -66,7 +98,9 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     n = abs(xi.norm())
     alpha = abs(xi)
     inv = unit_inverse(eps)
-    j = 0
+    j = _guess_exponent(alpha, eps, n)
+    if j:
+        alpha = alpha * (eps**j if j >= 0 else inv**-j)
     # too large: alpha**2 >= n*eps
     while (n * eps - alpha * alpha).sign_real() <= 0:
         alpha = alpha * inv

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
+from typing import Callable
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, _sgn
@@ -145,13 +146,16 @@ def _orbits(m: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
     return tuple(sorted(reps.values(), key=_sort_key))
 
 
-def _norm_table(m: int, N: int, eps: QuadInt) -> dict[int, tuple[QuadInt, ...]]:
+def _norm_table(
+    m: int, N: int, eps: QuadInt, keep: Callable[[int], bool] = lambda n: True
+) -> dict[int, tuple[QuadInt, ...]]:
     """Orbit representatives of every norm 0 < n < N from one pass.
 
     Walks each b up to the bound for N - 1 and the few a with
     |a**2 - m*b**2| < N; hits past the bound of their own n only land in
     orbits already found.  Maps n, ascending, to exactly the reps of
-    solve_norm(m, n, eps=eps); an n without solutions has no key.
+    solve_norm(m, n, eps=eps); an n without solutions, or for which keep(n)
+    is false, has no key, and its hits are never canonicalised.
     """
     hits: dict[int, list[tuple[int, int]]] = {}
     for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
@@ -160,7 +164,7 @@ def _norm_table(m: int, N: int, eps: QuadInt) -> dict[int, tuple[QuadInt, ...]]:
             n = abs(a * a - v)
             if 0 < n < N:
                 hits.setdefault(n, []).append((a, b))
-    return {n: _orbits(m, eps, hits[n]) for n in sorted(hits)}
+    return {n: _orbits(m, eps, hits[n]) for n in sorted(hits) if keep(n)}
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,108 @@ from rdnorm import (
     fundamental_unit,
     reduce_half,
     reduce_window,
+    reduction,
     unit_inverse,
 )
+from rdnorm.qint import is_square
 from rdnorm.reduction import in_window
 
 EPS10 = QuadInt(3, 1, 10)
+
+
+def stepwise_reduce(xi, eps):
+    """Reference: reduce_window's exponent found one unit step at a time."""
+    n = abs(xi.norm())
+    alpha = abs(xi)
+    inv = unit_inverse(eps)
+    j = 0
+    while (n * eps - alpha * alpha).sign_real() <= 0:
+        alpha = alpha * inv
+        j -= 1
+    while (alpha * alpha * eps - n).sign_real() < 0:
+        alpha = alpha * eps
+        j += 1
+    return j, alpha, n
+
+
+def unit_power(eps, k):
+    return eps**k if k >= 0 else unit_inverse(eps) ** -k
+
+
+def differential_grid():
+    """(xi, eps) pairs: random xi * eps**k with |k| <= 60 for units of norm
+    +1 and -1, eps**2 as the reducer, xi on the axes and with mixed-sign
+    coefficients, and the orbit of the window-edge representative
+    -12 + sqrt(146) of norm 2."""
+    rng = random.Random(12)
+    cases = []
+    seen = {1: 0, -1: 0}
+    while min(seen.values()) < 8:
+        m = rng.randrange(2, 3000)
+        if is_square(m):
+            continue
+        eps = fundamental_unit(m)
+        if eps.a > 10**30 or seen[eps.norm()] >= 8:
+            continue
+        seen[eps.norm()] += 1
+        for _ in range(12):
+            a, b = rng.randrange(-10**4, 10**4), rng.randrange(-300, 300)
+            shape = rng.randrange(4)
+            if shape == 0:
+                b = 0  # rational xi
+            elif shape == 1:
+                a = 0  # xi = b*sqrt(m)
+            elif shape == 2:
+                a, b = abs(a) + 1, -abs(b) - 1  # mixed signs
+            if a == b == 0:
+                continue
+            xi = QuadInt(a, b, m) * unit_power(eps, rng.randrange(-60, 61))
+            cases.append((xi, eps))
+            cases.append((xi, eps * eps))
+    edge, eps146 = QuadInt(-12, 1, 146), QuadInt(145, 12, 146)
+    for k in range(-60, 61, 3):
+        x = edge * unit_power(eps146, k)
+        cases += [(x, eps146), (-x, eps146), (x.conj(), eps146),
+                  (x, eps146 * eps146)]
+    return cases
+
+
+class TestReduceWindowDifferential:
+    """reduce_window must equal the one-step-at-a-time reference exactly."""
+
+    def test_matches_stepwise_reference(self):
+        for xi, eps in differential_grid():
+            res = reduce_window(xi, eps)
+            assert (res.j, res.alpha, res.n) == stepwise_reduce(xi, eps), \
+                (xi, eps)
+
+    @pytest.mark.parametrize("offset", [-3, -1, 1, 3])
+    def test_exact_steps_decide_a_wrong_guess(self, monkeypatch, offset):
+        guess = reduction._guess_exponent
+        monkeypatch.setattr(reduction, "_guess_exponent",
+                            lambda *args: guess(*args) + offset)
+        for xi, eps in differential_grid()[::5]:
+            res = reduce_window(xi, eps)
+            assert (res.j, res.alpha, res.n) == stepwise_reduce(xi, eps), \
+                (xi, eps)
+
+    @pytest.mark.parametrize("k, j", [(16000, -16001), (-16000, 15999)])
+    def test_multiplications_grow_like_log_exponent(self, monkeypatch, k, j):
+        # k < 0 gives coefficients of mixed sign, the guess's other branch
+        eps = QuadInt(1, 1, 2)
+        xi = QuadInt(3, 1, 2) * unit_power(eps, k)
+        calls = 0
+        mul = QuadInt.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(QuadInt, "__mul__", counting_mul)
+        monkeypatch.setattr(QuadInt, "__rmul__", counting_mul)
+        assert reduce_window(xi, eps).j == j
+        assert calls < 200  # one step at a time takes about 48 000
 
 
 class TestUnitInverse:

@@ -279,6 +279,18 @@ class TestNormTable:
             self.assert_matches_per_n(m, N, eps)
 
 
+    def test_keep_drops_exactly_the_other_norms(self):
+        for prop_id, t in (("2.3", 40), ("2.4", 5), ("2.5", 30), ("2.6", 33)):
+            m = prop_radicand(prop_id, t)
+            cls = allowed_set(prop_id, t)
+            eps = fundamental_unit(m)
+            full = _norm_table(m, cls.threshold, eps)
+            for keep in (lambda n: not cls.allows(n), lambda n: n % 3 == 1):
+                kept = _norm_table(m, cls.threshold, eps, keep)
+                assert kept == {n: reps for n, reps in full.items() if keep(n)}
+                assert list(kept) == sorted(kept)
+
+
 class TestSolutionSetJSON:
     def test_schema(self):
         doc = solve_norm(10, 6).to_json()
