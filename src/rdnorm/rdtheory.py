@@ -10,7 +10,7 @@ re-checkable witness, instead of asserting the rule is true.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, NamedTuple
 from warnings import warn
 
@@ -163,16 +163,6 @@ class VerificationReport:
         }
 
 
-def _is_integer_times_unit(rep: QuadInt) -> bool:
-    """True iff rep = k * eta for an integer k and a unit eta.
-
-    Equivalent to: rep divided by the gcd of its coordinates is a unit.
-    The content is orbit-invariant, so testing any orbit member suffices.
-    """
-    g = gcd(rep.a, rep.b)
-    return (rep.a // g) ** 2 - rep.m * (rep.b // g) ** 2 in (1, -1)
-
-
 def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     cls = _rule(prop_id).classifier(t)
     m = prop_radicand(prop_id, t)
@@ -184,11 +174,14 @@ def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
 
     # 2.6: every orbit must be an integer times a unit or associate to a
     # listed generator (norms force n into the listed set for the latter).
+    # eps is fundamental, so k*eta (k > 0) lies in the orbit of k, whose
+    # window [k/sqrt(eps), k*sqrt(eps)) holds k: its canonical rep is k.  A
+    # rep with b = 0 is an integer, so b == 0 tests the first clause.
     table = _norm_table(m, cls.threshold, eps)
     gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
     return [Counterexample(t, n, rep.a, rep.b)
             for n, reps in table.items() for rep in reps
-            if not _is_integer_times_unit(rep) and rep not in gen_reps]
+            if rep.b != 0 and rep not in gen_reps]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:

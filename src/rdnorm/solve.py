@@ -2,9 +2,9 @@
 
 Enumeration runs over the y-coefficient only: every solution orbit has a
 window representative a + b*sqrt(m) with |b| <= B, so it suffices to
-square-test m*b**2 +- n for b in [0, B] and collapse the hits onto their
-canonical window representatives.  For large B the square-testing is done
-with a residue sieve and numpy; the pure-Python path is the reference.
+square-test m*b**2 +- n for b in [0, B] and keep the hits that lie in the
+window.  For large B the square-testing is done with a residue sieve and
+numpy; the pure-Python path is the reference.
 A sweep over every n below some N instead walks, in one pass, each b up to
 the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and buckets the
 hits by n (_norm_table).
@@ -19,7 +19,7 @@ from typing import Callable
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, _sgn
-from .reduction import _check_reducer, reduce_window
+from .reduction import _check_reducer, in_window, reduce_window
 
 _NUMPY_CUTOFF = 4096  # below this b-range the plain loop wins
 _INT64_LIMIT = 2**62
@@ -135,15 +135,17 @@ def _sort_key(x: QuadInt):
     return (abs(x.b), abs(x.a), -_sgn(x.b), -_sgn(x.a))
 
 
-def _orbits(m: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
-    """Canonical representatives of the orbits of +-a + b*sqrt(m) over the
-    hits (a, b), each once, in _sort_key order."""
-    reps: dict[tuple[int, int], QuadInt] = {}
+def _orbits(m: int, n: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
+    """The elements |+-a + b*sqrt(m)| over the hits (a, b) that lie in the
+    window of norm n, in _sort_key order: the canonical reps, since each has
+    |b| <= B (coeff_bounds).  For b = 0 both signs give the same element."""
+    reps = []
     for a, b in hits:
-        for x in (a, -a) if a else (0,):
-            rep = canonical_rep(QuadInt(x, b, m), eps)
-            reps[(rep.a, rep.b)] = rep
-    return tuple(sorted(reps.values(), key=_sort_key))
+        for x in (a, -a) if a and b else (a,):
+            rep = abs(QuadInt(x, b, m))
+            if in_window(rep, eps, n):
+                reps.append(rep)
+    return tuple(sorted(reps, key=_sort_key))
 
 
 def _norm_table(
@@ -152,10 +154,10 @@ def _norm_table(
     """Orbit representatives of every norm 0 < n < N from one pass.
 
     Walks each b up to the bound for N - 1 and the few a with
-    |a**2 - m*b**2| < N; hits past the bound of their own n only land in
-    orbits already found.  Maps n, ascending, to exactly the reps of
+    |a**2 - m*b**2| < N; hits past the bound of their own n are never in
+    the window.  Maps n, ascending, to exactly the reps of
     solve_norm(m, n, eps=eps); an n without solutions, or for which keep(n)
-    is false, has no key, and its hits are never canonicalised.
+    is false, has no key, and its hits are never tested.
     """
     hits: dict[int, list[tuple[int, int]]] = {}
     for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
@@ -164,7 +166,7 @@ def _norm_table(
             n = abs(a * a - v)
             if 0 < n < N:
                 hits.setdefault(n, []).append((a, b))
-    return {n: _orbits(m, eps, hits[n]) for n in sorted(hits) if keep(n)}
+    return {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ def solve_norm(
     _, b_bound = coeff_bounds(m, n, eps)
     hits = [(a, b) for a, b in _scan(m, n, b_bound)
             if not primitive_only or gcd(a, b) == 1]
-    return SolutionSet(m=m, n=n, eps=eps, reps=_orbits(m, eps, hits))
+    return SolutionSet(m=m, n=n, eps=eps, reps=_orbits(m, n, eps, hits))
 
 
 def is_representable(m: int, n: int, eps: QuadInt | None = None) -> bool:

@@ -28,10 +28,16 @@ from rdnorm import (
     unit_inverse,
 )
 from rdnorm.cli import main
-from rdnorm.rdtheory import _is_integer_times_unit
 from rdnorm.solve import _scan
 
 SEED = 20260826
+
+
+def _is_integer_times_unit(rep):
+    """True iff rep = k * eta for an integer k and a unit eta: rep divided
+    by the gcd of its coordinates is a unit."""
+    g = gcd(rep.a, rep.b)
+    return (rep.a // g) ** 2 - rep.m * (rep.b // g) ** 2 in (1, -1)
 
 
 def _nonsquare_range(lo, hi):

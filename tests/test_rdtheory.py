@@ -16,7 +16,7 @@ from rdnorm import (
     solve_norm,
     verify_prop,
 )
-from rdnorm.rdtheory import PROP_IDS, _is_integer_times_unit
+from rdnorm.rdtheory import PROP_IDS
 from rdnorm.qint import is_square
 
 
@@ -141,7 +141,8 @@ class TestVerifyProp:
         for e in report.exceptions:
             m = prop_radicand("2.6", e.t)
             assert abs(e.x * e.x - m * e.y * e.y) == e.n
-            assert not _is_integer_times_unit(QuadInt(e.x, e.y, m))
+            eps = fundamental_unit(m)
+            assert canonical_rep(QuadInt(e.x, e.y, m), eps).b != 0
             if is_square(2 * e.n):
                 from math import gcd
 
@@ -212,20 +213,24 @@ class TestVerifyProp:
         ]
 
 
-class TestIsIntegerTimesUnit:
+class TestIntegerTimesUnitRep:
+    """x is an integer times a unit iff its canonical rep under the
+    fundamental unit has b == 0 (the test rule 2.6 sweeps rely on)."""
+
     def test_examples(self):
         eps = fundamental_unit(10)
-        assert _is_integer_times_unit(QuadInt(3, 1, 10))
-        assert _is_integer_times_unit(QuadInt(6, 2, 10))
-        assert _is_integer_times_unit(QuadInt(3, 1, 10) * eps * 7)
-        assert not _is_integer_times_unit(QuadInt(4, 1, 10))
+        assert canonical_rep(QuadInt(3, 1, 10), eps).b == 0
+        assert canonical_rep(QuadInt(6, 2, 10), eps).b == 0
+        assert canonical_rep(QuadInt(3, 1, 10) * eps * 7, eps).b == 0
+        assert canonical_rep(QuadInt(4, 1, 10), eps).b != 0
 
     def test_orbit_invariant(self):
         eps = fundamental_unit(142)
         delta = QuadInt(12, 1, 142)
         for j in range(4):
-            assert not _is_integer_times_unit(delta * eps**j)
-            assert _is_integer_times_unit(QuadInt(5, 0, 142) * eps**j)
+            assert canonical_rep(delta * eps**j, eps).b != 0
+            assert canonical_rep(QuadInt(5, 0, 142) * eps**j, eps) == \
+                QuadInt(5, 0, 142)
 
 
 class TestIsPrime:

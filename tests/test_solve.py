@@ -1,6 +1,7 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from rdnorm import (
@@ -17,7 +18,14 @@ from rdnorm import (
     rd_unit,
     solve_norm,
 )
-from rdnorm.solve import _NUMPY_CUTOFF, _norm_table, _scan_np, _scan_py
+from rdnorm.solve import (
+    _NUMPY_CUTOFF,
+    _norm_table,
+    _orbits,
+    _scan_np,
+    _scan_py,
+    _sort_key,
+)
 
 
 def collapse(pairs, m, eps):
@@ -289,6 +297,88 @@ class TestNormTable:
                 kept = _norm_table(m, cls.threshold, eps, keep)
                 assert kept == {n: reps for n, reps in full.items() if keep(n)}
                 assert list(kept) == sorted(kept)
+
+
+def reduce_then_dedup(m, eps, hits):
+    """Reference _orbits: every hit +-a + b*sqrt(m) moved into the window by
+    canonical_rep, then deduplicated, in _sort_key order."""
+    reps = {}
+    for a, b in hits:
+        for x in (a, -a) if a else (0,):
+            rep = canonical_rep(QuadInt(x, b, m), eps)
+            reps[(rep.a, rep.b)] = rep
+    return tuple(sorted(reps.values(), key=_sort_key))
+
+
+def hits_by_norm(m, n_max, b_max):
+    """All (a, b) with a, b >= 0, b <= b_max and 0 < |a**2 - m*b**2| <=
+    n_max, keyed by that norm: a double loop, vectorised once m*b**2 >
+    n_max**2 leaves at most the two a nearest sqrt(m)*b."""
+    hits = {}
+
+    def add(a, b):
+        n = abs(a * a - m * b * b)
+        if 0 < n <= n_max:
+            hits.setdefault(n, []).append((a, b))
+
+    b_small = min(b_max, isqrt(n_max * n_max // m) + 1)
+    for b in range(b_small + 1):
+        v = m * b * b
+        for a in range(isqrt(max(v - n_max, 0)), isqrt(v + n_max) + 1):
+            add(a, b)
+    step = 1 << 20
+    for lo in range(b_small + 1, b_max + 1, step):
+        b = np.arange(lo, min(lo + step, b_max + 1), dtype=np.int64)
+        v = m * b * b
+        root = np.sqrt(v.astype(np.float64)).astype(np.int64)
+        for d in (-1, 0, 1, 2):
+            a = root + d
+            near = np.abs(a * a - v) <= n_max
+            for x, y in zip(a[near].tolist(), b[near].tolist()):
+                add(x, y)
+    return hits
+
+
+class TestOrbitsDifferential:
+    """_orbits keeps the hits already in the window; it must equal reducing
+    every hit and deduplicating, order included."""
+
+    def test_criterion_3_grid(self):
+        norms, square_b0 = set(), 0
+        for m in range(2, 401):
+            if is_square(m):
+                continue
+            eps = fundamental_unit(m)
+            norms.add(eps.norm())
+            # the reference also reduces hits past each n's own bound
+            by_n = hits_by_norm(m, 100, coeff_bounds(m, 100, eps)[1] + 1)
+            for n, hits in by_n.items():
+                b_max = coeff_bounds(m, n, eps)[1]
+                for prim in (False, True):
+                    ok = [h for h in hits if not prim or gcd(*h) == 1]
+                    got = _orbits(m, n, eps, [h for h in ok if h[1] <= b_max])
+                    assert got == reduce_then_dedup(m, eps, ok), (m, n, prim)
+                    square_b0 += any(r.b == 0 and r.a > 1 for r in got)
+        assert norms == {1, -1}
+        assert square_b0 > 0
+
+    def test_solve_norm_on_units_squares_and_window_edge(self):
+        cases = [(m, 1) for m in (2, 3, 5, 10, 13, 79, 146)]  # units
+        cases += [(m, n) for m in (10, 79, 142, 146) for n in (4, 9, 36, 49)]
+        cases += [(146, 2), (79, 15), (10, 6)]
+        for m, n in cases:
+            eps = fundamental_unit(m)
+            for unit in (eps, eps * eps):
+                b_max = coeff_bounds(m, n, unit)[1] + 1
+                hits = _scan_py(m, n, b_max)
+                for prim in (False, True):
+                    ok = [h for h in hits if not prim or gcd(*h) == 1]
+                    got = solve_norm(m, n, primitive_only=prim, eps=unit).reps
+                    assert got == reduce_then_dedup(m, unit, ok), (m, n, unit)
+        # the representative on the lower window edge, with |b| = B = 1
+        eps = fundamental_unit(146)
+        assert QuadInt(-12, 1, 146) in solve_norm(146, 2, eps=eps).reps
+        assert coeff_bounds(146, 2, eps)[1] == 1
 
 
 class TestSolutionSetJSON:
