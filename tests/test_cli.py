@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 import rdnorm
 from rdnorm import cli
 from rdnorm.cli import EXIT_EXCEPTIONS, EXIT_OK, EXIT_USAGE, main
+from rdnorm.qint import QuadInt
 
 
 def run(capsys, *argv):
@@ -72,6 +74,11 @@ class TestUnit:
         finally:
             sys.set_int_max_str_digits(limit)
         assert a * a - 1000000007 * b * b in (1, -1)
+        # the human text prints the same coefficients
+        code, out, _ = run(capsys, "unit", "1000000007")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        assert f"fundamental unit {r['a']} + {r['b']}*sqrt(1000000007)" in out
 
 
 class TestSolve:
@@ -204,6 +211,37 @@ class TestInvocation:
         monkeypatch.setattr(cli, "solve_norm", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["solve", "10", "6"])
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        main(["unit", "10"])  # builds the parser, if no earlier call did
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["unit", "10"], ["solve", "10", "6", "--json"],
+                     ["verify", "2.3", "--t-min", "2", "--t-max", "3"]):
+            main(argv)
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ["unit", "146"],
+        ["solve", "10", "6"],
+        ["reduce", "10", "4", "-1"],
+        ["verify", "2.4", "--t-min", "3", "--t-max", "4"],
+        ["witness", "2", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_json_formats_no_human_text(self, capsys, monkeypatch, argv):
+        expected = run_json(capsys, *argv)
+
+        def refuse(self):
+            raise AssertionError("human text formatted under --json")
+
+        monkeypatch.setattr(QuadInt, "__str__", refuse)
+        assert run_json(capsys, *argv) == expected
 
     def test_missing_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
