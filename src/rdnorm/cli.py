@@ -8,7 +8,9 @@ with its traceback.
 
 Each cmd_* handler returns data: (exit code, JSON result, human lines),
 the lines as a zero-argument function so that they are formatted only when
-printed.  main alone writes stdout and stderr.  The parser is built on the
+printed.  main alone writes stdout and the error message; the one other
+write is verify's notice on stderr when a sweep starts below its rule's
+first t, printed on every such call.  The parser is built on the
 first call of main and reused, so main may be called repeatedly in one
 process.
 """
@@ -72,6 +74,9 @@ def cmd_reduce(args):
 
 def cmd_verify(args):
     report = verify_prop(args.prop, args.t_min, args.t_max)
+    if report.below_stated_range:
+        print(f"warning: rule {report.prop_id} is stated for t >= "
+              f"{report.stated_from}, got t_min={report.t_min}", file=sys.stderr)
     code = EXIT_OK if report.clean else EXIT_EXCEPTIONS
     return code, report.to_json(), lambda: [
         f"rule {report.prop_id}, t in [{report.t_min}, {report.t_max}]: "

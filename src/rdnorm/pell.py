@@ -3,6 +3,12 @@
 The fundamental unit is always the unit of the order Z[sqrt(m)] itself,
 never of the maximal order; units of norm -1 are accepted (and returned,
 being the smaller generator, whenever the period length is odd).
+
+The unit is the convergent at the end of the first period, i.e. the
+product of the matrices [[a, 1], [1, 0]] of the partial quotients.  That
+product is formed by binary splitting, pairwise in a balanced tree, so
+its cost is O(M(d) log L) for a d-digit unit and period length L rather
+than the O(L*d) of one recurrence step per quotient.
 """
 
 from __future__ import annotations
@@ -35,16 +41,41 @@ def cf_sqrt(m: int) -> CFExpansion:
     check_radicand(m)
     a0 = isqrt(m)
     P, Q = a0, m - a0 * a0
-    start = (P, Q)
+    Q0 = Q
     period = []
     while True:
         a = (a0 + P) // Q
         period.append(a)
         P = a * Q - P
         Q = (m - P * P) // Q
-        if (P, Q) == start:
+        if P == a0 and Q == Q0:
             break
     return CFExpansion(a0, tuple(period))
+
+
+# Below this many quotients a range is multiplied out by the plain
+# recurrence; its numbers are still too small for the tree to pay.
+_LEAF = 32
+
+
+def _cf_matrix(quotients: tuple[int, ...], lo: int, hi: int
+               ) -> tuple[int, int, int, int]:
+    """Product of [[a, 1], [1, 0]] over quotients[lo:hi], by binary splitting.
+
+    Returned row by row as (p, p_prev, q, q_prev): for the quotients
+    a0, ..., ak of a continued fraction, p/q is the convergent
+    [a0; a1, ..., ak] and p_prev/q_prev the one before it.
+    """
+    if hi - lo <= _LEAF:
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for a in quotients[lo:hi]:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+        return p, p_prev, q, q_prev
+    mid = (lo + hi) // 2
+    A, B, C, D = _cf_matrix(quotients, lo, mid)
+    E, F, G, H = _cf_matrix(quotients, mid, hi)
+    return A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H
 
 
 def period_end_convergent(cf: CFExpansion) -> tuple[int, int]:
@@ -53,12 +84,14 @@ def period_end_convergent(cf: CFExpansion) -> tuple[int, int]:
     p + q*sqrt(m) is the fundamental unit of Z[sqrt(m)]; its norm is
     (-1) ** period_length.
     """
-    p_prev, p = 1, cf.a0
-    q_prev, q = 0, 1
-    for a in cf.period[:-1]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q
+    quotients = (cf.a0,) + cf.period[:-1]
+    # only the first column of the product is needed: the top level is
+    # split here so that the four largest multiplications, which would
+    # form the second column, are skipped
+    mid = len(quotients) // 2
+    A, B, C, D = _cf_matrix(quotients, 0, mid)
+    E, _, G, _ = _cf_matrix(quotients, mid, len(quotients))
+    return A * E + B * G, C * E + D * G
 
 
 @lru_cache(maxsize=1024)

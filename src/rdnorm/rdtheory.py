@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, NamedTuple
-from warnings import warn
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, check_radicand, is_square
@@ -61,6 +60,11 @@ class NormClassifier:
     double_square_escape: bool = False
     orbit_clause: bool = False
 
+    @property
+    def below_stated_range(self) -> bool:
+        """True when t lies below the first t the rule is stated for."""
+        return self.t < _RULES[self.prop_id].first_t
+
     def allows(self, n: int) -> bool:
         if n >= self.threshold or n in self.listed or is_square(n):
             return True
@@ -99,12 +103,12 @@ def _rule(prop_id: str) -> _Rule:
 
 
 def allowed_set(prop_id: str, t: int) -> NormClassifier:
-    """Classifier for one exclusion rule at parameter t."""
-    rule = _rule(prop_id)
-    if t < rule.first_t:
-        warn(f"rule {prop_id} is stated for t >= {rule.first_t}, got t={t}",
-             stacklevel=2)
-    return rule.classifier(t)
+    """Classifier for one exclusion rule at parameter t.
+
+    t below the rule's first t is answered too; the classifier's
+    below_stated_range says so.
+    """
+    return _rule(prop_id).classifier(t)
 
 
 def prop_radicand(prop_id: str, t: int) -> int:
@@ -151,10 +155,22 @@ class VerificationReport:
     def clean(self) -> bool:
         return not self.exceptions
 
+    @property
+    def stated_from(self) -> int:
+        """First t the rule is stated for."""
+        return _RULES[self.prop_id].first_t
+
+    @property
+    def below_stated_range(self) -> bool:
+        """True when the sweep starts below the rule's first t."""
+        return self.t_min < self.stated_from
+
     def to_json(self) -> dict:
         return {
             "prop": self.prop_id,
             "t_range": [self.t_min, self.t_max],
+            "stated_from": self.stated_from,
+            "below_stated_range": self.below_stated_range,
             "checked": self.checked_count,
             "exceptions": [
                 {"t": e.t, "n": str(e.n), "x": str(e.x), "y": str(e.y)}
@@ -190,15 +206,13 @@ def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
     The t values run in order in this process.  For each t the solutions of
     every n < threshold are enumerated once, in one table, and every
     solution not covered by the rule is reported with a witness.  t below
-    the rule's first t runs with a warning.
+    the rule's first t is swept too, and the report's below_stated_range
+    says so.
     """
     rule = _rule(prop_id)
-    stated = f"rule {prop_id} is stated for t >= {rule.first_t}"
     if t_min < 1 or prop_radicand(prop_id, t_min) < 2:
-        raise DomainError(f"{stated} and needs m = t**2{rule.r:+d} >= 2, "
-                          f"got t_min={t_min}")
-    if t_min < rule.first_t:
-        warn(f"{stated}, got t_min={t_min}", stacklevel=2)
+        raise DomainError(f"rule {prop_id} is stated for t >= {rule.first_t} "
+                          f"and needs m = t**2{rule.r:+d} >= 2, got t_min={t_min}")
     if t_min > t_max:
         raise DomainError("t_min must not exceed t_max")
     ts = range(t_min, t_max + 1)

@@ -4,8 +4,9 @@ perfbench/ reaches into rdnorm by name (the unit cache object, the
 functions its layer micro-benchmarks call, the QuadInt methods its counters
 wrap), so a refactor that renames one of them breaks the benchmark with a
 traceback instead of a result line.  One short run per cheap workload
-catches that, and one short traced run covers the passes that wrap rdnorm's
-functions; `solve` is left out because its timeouts alone cost seconds.
+catches that, and one short traced run per cheap workload covers the
+passes that wrap rdnorm's functions; `solve` is left out because its
+timeouts alone cost seconds.
 
 The result line must be strict JSON (no NaN or Infinity) and name exactly
 the metrics BENCHMARK.json declares for its trace level.
@@ -52,3 +53,8 @@ def test_short_run_ends_with_correct_result_line(workload):
 
 def test_short_traced_run_reports_every_layer_metric():
     check_result_line("sweep", 1)
+
+
+def test_short_traced_units_run_reports_every_layer_metric():
+    # the unit computation's spans (pell, cli) are what this run reads
+    check_result_line("units", 1)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -163,10 +164,25 @@ class TestVerify:
         assert "rule 2.6" in message and "t >= 12" in message
 
     def test_below_first_t_warns(self, capsys):
-        with pytest.warns(UserWarning, match=r"rule 2\.5 .*t >= 12"):
-            code, _, _ = run(capsys, "verify", "2.5", "--t-min", "1",
-                             "--t-max", "11")
+        code, _, err = run(capsys, "verify", "2.5", "--t-min", "1",
+                           "--t-max", "11")
         assert code == EXIT_EXCEPTIONS
+        assert re.search(r"rule 2\.5 .*t >= 12", err)
+        code, doc, err = run_json(capsys, "verify", "2.5", "--t-min", "1",
+                                  "--t-max", "11")
+        assert code == EXIT_EXCEPTIONS
+        assert re.search(r"rule 2\.5 .*t >= 12", err)
+        result = doc["result"]
+        assert result["below_stated_range"] is True and result["stated_from"] == 12
+        code, doc, err = run_json(capsys, "verify", "2.5", "--t-min", "12",
+                                  "--t-max", "12")
+        assert doc["result"]["below_stated_range"] is False and err == ""
+
+    def test_below_first_t_notice_on_every_call(self, capsys):
+        argv = ["verify", "2.5", "--t-min", "1", "--t-max", "11"]
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv)
+        assert "t >= 12" in first[2]
 
 
 class TestWitness:

@@ -1,8 +1,10 @@
+import random
 from math import isqrt
 
 import pytest
 
 from rdnorm import (
+    CFExpansion,
     QuadInt,
     cf_sqrt,
     fundamental_unit,
@@ -10,7 +12,21 @@ from rdnorm import (
     is_unit,
     rd_unit,
 )
-from rdnorm.pell import period_end_convergent
+from rdnorm.pell import _cf_matrix, period_end_convergent
+
+
+def plain_convergents(a0, rest):
+    """Reference: one step of the convergent recurrence per quotient.
+
+    Returns (p, p_prev, q, q_prev) for [a0; rest...] and the convergent
+    before it.
+    """
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    for a in rest:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, p_prev, q, q_prev
 
 
 def smallest_unit_by_scan(m, b_cap=None):
@@ -69,6 +85,34 @@ class TestCFExpansion:
                 continue
             p, q = period_end_convergent(cf_sqrt(m))
             assert abs(p * p - m * q * q) == 1
+
+
+class TestProductTree:
+    @staticmethod
+    def check(quotients):
+        a0, rest = quotients[0], quotients[1:]
+        p, p_prev, q, q_prev = plain_convergents(a0, rest)
+        assert _cf_matrix(quotients, 0, len(quotients)) == (p, p_prev, q, q_prev)
+        # period_end_convergent drops the period's last quotient
+        cf = CFExpansion(a0, rest + (2 * a0,))
+        assert period_end_convergent(cf) == (p, q)
+
+    def test_random_quotients_cross_leaf_boundaries(self):
+        rng = random.Random(20131024)
+        for length in range(1, 301):
+            self.check(tuple(rng.randint(1, 10**6) for _ in range(length)))
+
+    def test_long_random_quotient_list(self):
+        rng = random.Random(6608)
+        self.check(tuple(rng.randint(1, 10**6) for _ in range(5000)))
+
+    @pytest.mark.parametrize("m", [10**9 + 9, 10**10 + 19])
+    def test_large_unit_matches_plain_recurrence(self, m):
+        cf = cf_sqrt(m)
+        p, _, q, _ = plain_convergents(cf.a0, cf.period[:-1])
+        eps = fundamental_unit(m)
+        assert eps == QuadInt(p, q, m)
+        assert eps.norm() == (-1) ** cf.period_length
 
 
 class TestFundamentalUnit:

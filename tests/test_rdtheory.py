@@ -80,10 +80,10 @@ class TestAllowedSet:
             allowed_set("2.7", 12)
 
     def test_warns_below_stated_validity(self):
-        with pytest.warns(UserWarning):
-            allowed_set("2.5", 5)
-        with pytest.warns(UserWarning):
-            allowed_set("2.6", 3)
+        assert allowed_set("2.5", 5).below_stated_range
+        assert allowed_set("2.6", 3).below_stated_range
+        assert not allowed_set("2.5", 12).below_stated_range
+        assert not allowed_set("2.3", 2).below_stated_range
 
 
 class TestPropRadicand:
@@ -162,9 +162,11 @@ class TestVerifyProp:
         # m = t**2 - 2 < 2 at t = 1
         with pytest.raises(DomainError, match=r"2\.6 .*t >= 12"):
             verify_prop("2.6", 1, 3)
-        # below the rule's first t the sweep runs, with a warning
-        with pytest.warns(UserWarning, match=r"2\.5 .*t >= 12"):
-            assert not verify_prop("2.5", 1, 11).clean
+        # below the rule's first t the sweep runs, and the report says so
+        report = verify_prop("2.5", 1, 11)
+        assert report.below_stated_range and report.stated_from == 12
+        assert not report.clean
+        assert not verify_prop("2.5", 12, 12).below_stated_range
 
     @staticmethod
     def per_n_reference(prop_id, t_min, t_max):
@@ -208,6 +210,7 @@ class TestVerifyProp:
         doc = verify_prop("2.4", 3, 3).to_json()
         assert doc["prop"] == "2.4"
         assert doc["t_range"] == [3, 3]
+        assert doc["stated_from"] == 2 and doc["below_stated_range"] is False
         assert doc["exceptions"] == [
             {"t": 3, "n": "10", "x": "0", "y": "1"}
         ]
