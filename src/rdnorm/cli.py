@@ -93,7 +93,8 @@ def cmd_witness(args):
         f"t = {w.t}, m = {w.m}",
         *(f"  {name}: {'ok' if ok else 'FAILED'}" for name, ok in w.checks.items()),
         f"certificate {'valid' if w.valid else 'INVALID'}: class number of "
-        f"Q(sqrt({w.m})) {'exceeds 1' if w.valid else 'not certified'}",
+        f"Z[(1+sqrt({w.m}))/2] {'exceeds 1' if w.valid else 'not certified'} "
+        f"(that of Q(sqrt(m)) when m is squarefree)",
     ]
 
 

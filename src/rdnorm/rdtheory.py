@@ -4,7 +4,9 @@ and class-number-nontriviality certificates.
 
 The exclusion rules are treated as hypotheses: sweeps report every
 representable n (or solution orbit) the rule fails to cover, with a
-re-checkable witness, instead of asserting the rule is true.
+re-checkable witness, instead of asserting the rule is true.  Clauses are
+decided by exact integer tests, not searches: rule 2.6's associate clause
+by one divisibility test, with no generator reduced into the window.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, check_radicand, is_square
-from .solve import _norm_table, canonical_rep, is_representable
+from .solve import _norm_table, is_representable
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,22 @@ class VerificationReport:
         }
 
 
+def _associate(x: QuadInt, y: QuadInt) -> bool:
+    """True iff the nonzero x and y are associates: x = u*y, u a unit.
+
+    With n = |norm(y)|, x/y = x*conj(y)/norm(y).  If x has |norm| n too,
+    x/y has norm +-1, so it is a unit exactly when it lies in Z[sqrt(m)],
+    that is when n divides both coefficients of x*conj(y).  Associates
+    have equal |norm|, so the norms are compared first, which settles
+    most pairs without a multiplication.
+    """
+    n = abs(y.norm())
+    if abs(x.norm()) != n:
+        return False
+    p = x * y.conj()
+    return p.a % n == 0 and p.b % n == 0
+
+
 def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     cls = _rule(prop_id).classifier(t)
     m = prop_radicand(prop_id, t)
@@ -192,12 +210,13 @@ def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     # listed generator (norms force n into the listed set for the latter).
     # eps is fundamental, so k*eta (k > 0) lies in the orbit of k, whose
     # window [k/sqrt(eps), k*sqrt(eps)) holds k: its canonical rep is k.  A
-    # rep with b = 0 is an integer, so b == 0 tests the first clause.
+    # rep with b = 0 is an integer, so b == 0 tests the first clause; the
+    # second is tested on the rep as it stands, so no generator is reduced.
     table = _norm_table(m, cls.threshold, eps)
-    gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
+    gens = prop26_generators(t)
     return [Counterexample(t, n, rep.a, rep.b)
             for n, reps in table.items() for rep in reps
-            if rep.b != 0 and rep not in gen_reps]
+            if rep.b != 0 and not any(_associate(rep, g) for g in gens)]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
@@ -260,11 +279,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Witness:
-    """Certificate that the class number of Q(sqrt(m)) exceeds 1.
+    """Certificate that the class number of the order
+    O = Z[(1+sqrt(m))/2] exceeds 1 (that of Q(sqrt(m)) when m is
+    squarefree).
 
     m = (2*l*q)**2 + 1 with q prime and l > 1: q splits, and the named
-    checks rule out |x**2 - m*y**2| = 4q and = q, so no prime above q is
-    principal.  All checks true <=> the certificate is valid.
+    checks rule out |x**2 - m*y**2| = 4q and = q, so no element of O has
+    norm +-q and no prime of O above q is principal.  O is the ring of
+    integers of Q(sqrt(m)) only when m is squarefree; no check here says
+    whether it is.  All checks true <=> the certificate is valid.
     """
 
     l: int
@@ -292,8 +315,10 @@ def class_number_witness(l: int, q: int) -> Witness:
     """Assemble the nontriviality certificate for t = 2*l*q, m = t**2 + 1.
 
     The solver confirms both n = 4q and n = q unrepresentable; the n = q
-    branch closes the descent case where x and y are both even.  q must
-    lie below the bound up to which is_prime is proven.
+    branch closes the descent case where x and y are both even.  An
+    element of norm +-q doubles to one of norm +-4q, so the first check
+    implies the second, and n = q is solved only when n = 4q has
+    solutions.  q must lie below the bound up to which is_prime is proven.
     """
     if l <= 1:
         raise DomainError("l must exceed 1")
@@ -306,13 +331,14 @@ def class_number_witness(l: int, q: int) -> Witness:
     t = 2 * l * q
     m = t * t + 1
     split = m % q == 1 if q != 2 else m % 8 == 1
+    norm_4q_unsolvable = not is_representable(m, 4 * q)
     checks = {
         "q_prime": True,
         "l_greater_1": True,
         "q_splits": split,
         "4q_below_2t": 4 * q < 2 * t,
         "4q_nonsquare": not is_square(4 * q),
-        "norm_4q_unsolvable": not is_representable(m, 4 * q),
-        "norm_q_unsolvable": not is_representable(m, q),
+        "norm_4q_unsolvable": norm_4q_unsolvable,
+        "norm_q_unsolvable": norm_4q_unsolvable or not is_representable(m, q),
     }
     return Witness(l=l, q=q, t=t, m=m, checks=checks)

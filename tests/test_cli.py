@@ -191,6 +191,16 @@ class TestWitness:
         assert code == EXIT_OK
         assert doc["result"]["m"] == "65" and doc["result"]["valid"] is True
 
+    def test_claim_names_the_order(self, capsys):
+        # 325 = 5**2 * 13 and Q(sqrt(13)) has class number 1: the checks
+        # prove the claim for the order Z[(1+sqrt(325))/2] only
+        code, out, _ = run(capsys, "witness", "3", "3")
+        assert code == EXIT_OK
+        claim = out.splitlines()[-1]
+        assert claim.startswith("certificate valid:")
+        assert "Z[(1+sqrt(325))/2]" in claim
+        assert "Q(sqrt(325))" not in out
+
     def test_bad_parameters_exit_2(self, capsys):
         code, _, err = run(capsys, "witness", "1", "5")
         assert code == EXIT_USAGE and "error:" in err

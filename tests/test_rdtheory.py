@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import rdnorm.reduction
+import rdnorm.solve
 from rdnorm import (
     Counterexample,
     DomainError,
@@ -14,9 +18,12 @@ from rdnorm import (
     prop_radicand,
     rd_classify,
     solve_norm,
+    unit_inverse,
     verify_prop,
 )
-from rdnorm.rdtheory import PROP_IDS
+from rdnorm import rdtheory
+from rdnorm.rdtheory import PROP_IDS, _associate
+from rdnorm.solve import _norm_table
 from rdnorm.qint import is_square
 
 
@@ -206,6 +213,35 @@ class TestVerifyProp:
             assert verify_prop(prop_id, t_min, t_max) == \
                 self.per_n_reference(prop_id, t_min, t_max)
 
+    @staticmethod
+    def rule_26_canonical_rep_reference(t):
+        """Rule 2.6 at one t from the sweep's own table, the generators
+        reduced into the window by canonical_rep."""
+        m = prop_radicand("2.6", t)
+        eps = fundamental_unit(m)
+        table = _norm_table(m, allowed_set("2.6", t).threshold, eps)
+        gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
+        return [Counterexample(t, n, r.a, r.b)
+                for n, reps in table.items() for r in reps
+                if r.b != 0 and r not in gen_reps]
+
+    @pytest.mark.parametrize("t", [10**4, 10**5])
+    def test_rule_26_large_t_matches_canonical_reps(self, t):
+        want = self.rule_26_canonical_rep_reference(t)
+        assert list(verify_prop("2.6", t, t).exceptions) == want
+
+    def test_sweep_and_certificate_never_reduce(self, monkeypatch):
+        want = self.per_n_reference("2.6", 12, 40)
+
+        def refuse(*args):
+            raise AssertionError("reduce_window called")
+
+        # solve holds its own name for reduce_window (canonical_rep's)
+        monkeypatch.setattr(rdnorm.reduction, "reduce_window", refuse)
+        monkeypatch.setattr(rdnorm.solve, "reduce_window", refuse)
+        assert verify_prop("2.6", 12, 40) == want
+        assert class_number_witness(2, 3).valid
+
     def test_report_json_shape(self):
         doc = verify_prop("2.4", 3, 3).to_json()
         assert doc["prop"] == "2.4"
@@ -214,6 +250,42 @@ class TestVerifyProp:
         assert doc["exceptions"] == [
             {"t": 3, "n": "10", "x": "0", "y": "1"}
         ]
+
+
+class TestAssociate:
+    """_associate, rule 2.6's orbit test, against equality of canonical
+    reps: x*eps**j (random j, random sign) against every rep of the same n,
+    the reps' conjugates, and two non-associates of other norms."""
+
+    # eps has norm -1 for m = 10, 13, 145 and +1 for m = 8, 142, 146; at
+    # m = 8 some non-associates of norm 4 have n dividing x*conj(y) in a only
+    @pytest.mark.parametrize("m", [10, 13, 145, 8, 142, 146])
+    def test_matches_canonical_rep(self, m):
+        rng = random.Random(m)
+        eps = fundamental_unit(m)
+        inv = unit_inverse(eps)
+        seen = set()
+        for n in range(1, 100):
+            reps = solve_norm(m, n, eps=eps).reps
+            elems = list(reps) + [r.conj() for r in reps]
+            for xi in elems:
+                j = rng.randrange(-4, 5)
+                x = rng.choice((1, -1)) * xi * (eps**j if j >= 0 else inv**-j)
+                for y in elems + [2 * xi, xi * QuadInt(1, 1, m)]:
+                    want = canonical_rep(x, eps) == canonical_rep(y, eps)
+                    assert _associate(x, y) == _associate(y, x) == want
+                    seen.add(want)
+        assert seen == {True, False}
+
+    def test_rule_26_pairs(self):
+        m = prop_radicand("2.6", 12)
+        # the sporadic n = 53 reps are conjugates but not associates
+        assert not _associate(QuadInt(35, 3, m), QuadInt(-35, 3, m))
+        # t + sqrt(m) = eps * (t - sqrt(m))
+        delta = QuadInt(12, 1, m)
+        assert _associate(delta, delta.conj())
+        assert _associate(delta, -delta * fundamental_unit(m) ** 3)
+        assert not _associate(delta, 3 * delta)
 
 
 class TestIntegerTimesUnitRep:
@@ -270,6 +342,32 @@ class TestClassNumberWitness:
         # composite, but a strong pseudoprime to every base is_prime uses
         with pytest.raises(ValueError, match="proven"):
             class_number_witness(2, 399165290221 * 798330580441)
+
+    @staticmethod
+    def spy_on_solves(monkeypatch, solvable=()):
+        """Record the n of every is_representable call; report each n in
+        solvable as representable."""
+        calls = []
+        real = rdtheory.is_representable
+
+        def spy(m, n, eps=None):
+            calls.append(n)
+            return n in solvable or real(m, n, eps)
+
+        monkeypatch.setattr(rdtheory, "is_representable", spy)
+        return calls
+
+    def test_valid_witness_solves_once(self, monkeypatch):
+        calls = self.spy_on_solves(monkeypatch)
+        assert class_number_witness(2, 3).valid
+        assert calls == [12]
+
+    def test_solvable_4q_still_solves_q(self, monkeypatch):
+        calls = self.spy_on_solves(monkeypatch, solvable={12})
+        w = class_number_witness(2, 3)
+        assert calls == [12, 3]
+        assert not w.checks["norm_4q_unsolvable"]
+        assert w.checks["norm_q_unsolvable"]
 
     def test_json_shape(self):
         doc = class_number_witness(3, 5).to_json()
