@@ -37,6 +37,21 @@ def _sgn(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
+def sign_ab(a: int, b: int, m: int) -> int:
+    """Sign of the real number a + b*sqrt(m), in {-1, 0, +1}, for a
+    nonsquare m (not checked here).
+
+    Same-sign coefficients decide immediately; mixed signs compare
+    a**2 against m*b**2 (never equal for b != 0, m nonsquare).
+    """
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite signs: the larger of |a| and |b|*sqrt(m) wins
+    return 1 if (a * a > m * b * b) == (a > 0) else -1
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """a + b*sqrt(m) with arbitrary-precision integer coefficients.
@@ -127,20 +142,8 @@ class QuadInt:
     # -- exact real-embedding order ----------------------------------------
 
     def sign_real(self) -> int:
-        """Sign of the real number a + b*sqrt(m), in {-1, 0, +1}.
-
-        Same-sign coefficients decide immediately; mixed signs compare
-        a**2 against m*b**2 (never equal for b != 0, m nonsquare).
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return _sgn(a)
-        if a == 0:
-            return _sgn(b)
-        if (a > 0) == (b > 0):
-            return _sgn(a)
-        # opposite signs: the larger of |a| and |b|*sqrt(m) wins
-        return _sgn(a) if a * a > self.m * b * b else _sgn(b)
+        """Sign of the real number a + b*sqrt(m), in {-1, 0, +1}."""
+        return sign_ab(self.a, self.b, self.m)
 
     def __abs__(self) -> "QuadInt":
         return -self if self.sign_real() < 0 else self

@@ -123,7 +123,8 @@ def prop26_generators(t: int) -> list[QuadInt]:
 
     t+-1+-sqrt(m), t+-2+-sqrt(m), 2t-1+-2*sqrt(m), 2t+-2+-2*sqrt(m).
     The first ten are primitive with |norm| in {2t+-3, 4t-9, 4t+-6}; the
-    last four equal 2*(t+-1+-sqrt(m)) and have |norm| 4*(2t+-3).
+    last four equal 2*(t+-1+-sqrt(m)) and have |norm| 4*(2t+-3), at or
+    above the rule's threshold 4t + 6 for t >= 5.
     """
     if t < 2:
         raise DomainError("t must be >= 2")
@@ -212,11 +213,15 @@ def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
     # window [k/sqrt(eps), k*sqrt(eps)) holds k: its canonical rep is k.  A
     # rep with b = 0 is an integer, so b == 0 tests the first clause; the
     # second is tested on the rep as it stands, so no generator is reduced.
+    # Associates have equal |norm|, so a rep of norm n meets only the
+    # generators of norm n.
     table = _norm_table(m, cls.threshold, eps)
-    gens = prop26_generators(t)
+    gens: dict[int, list[QuadInt]] = {}
+    for g in prop26_generators(t):
+        gens.setdefault(abs(g.norm()), []).append(g)
     return [Counterexample(t, n, rep.a, rep.b)
             for n, reps in table.items() for rep in reps
-            if rep.b != 0 and not any(_associate(rep, g) for g in gens)]
+            if rep.b != 0 and not any(_associate(rep, g) for g in gens.get(n, ()))]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:

@@ -5,8 +5,10 @@ lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The exponent j
 is guessed from floating-point logarithms and applied by binary powering;
 exact steps by eps then fix it up.  The window tests are carried out on
 squared (or fourth-power) quantities so that they stay inside Z[sqrt(m)]
-and are decided exactly by sign_real: the float guess only sets where the
-steps start, never where they stop.
+and are decided exactly by integer signs: sign_ab on the coefficients of
+alpha**2*eps - n and n*eps - alpha**2 for the window, sign_real for
+reduce_half's fourth powers.  The float guess only sets where the steps
+start, never where they stop.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from math import exp, log, log1p
 
 from .pell import is_unit
-from .qint import DomainError, QuadInt
+from .qint import DomainError, QuadInt, sign_ab
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,37 @@ def _check_reducer(eps: QuadInt) -> None:
         raise DomainError(f"unit {eps} must exceed 1")
 
 
+def _square(a: int, b: int, m: int) -> tuple[int, int]:
+    """Coefficients of (a + b*sqrt(m))**2."""
+    return a * a + m * b * b, 2 * a * b
+
+
+def _above_lower(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
+    """alpha**2 * eps >= n, for alpha**2 = sa + sb*sqrt(m), eps = e + f*sqrt(m)."""
+    return sign_ab(sa * e + m * sb * f - n, sa * f + sb * e, m) >= 0
+
+
+def _below_upper(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
+    """alpha**2 < n * eps, for alpha**2 = sa + sb*sqrt(m), eps = e + f*sqrt(m)."""
+    return sign_ab(n * e - sa, n * f - sb, m) > 0
+
+
+def _in_window(a: int, b: int, m: int, e: int, f: int, n: int) -> bool:
+    """in_window for alpha = a + b*sqrt(m) > 0 and eps = e + f*sqrt(m), on
+    plain ints: the two half-tests on alpha**2."""
+    sa, sb = _square(a, b, m)
+    return _above_lower(sa, sb, m, e, f, n) and _below_upper(sa, sb, m, e, f, n)
+
+
 def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
-    """Exact test for sqrt(n/eps) <= alpha < sqrt(n*eps), alpha > 0 assumed."""
-    sq = alpha * alpha
-    return (sq * eps - n).sign_real() >= 0 and (n * eps - sq).sign_real() > 0
+    """Exact test for sqrt(n/eps) <= alpha < sqrt(n*eps), alpha > 0 assumed.
+
+    Decided on squares, alpha**2*eps >= n and alpha**2 < n*eps, by the
+    integer sign of each difference; no QuadInt is built.
+    """
+    if alpha.m != eps.m:
+        raise DomainError(f"mismatched radicands: {alpha.m} vs {eps.m}")
+    return _in_window(alpha.a, alpha.b, eps.m, eps.a, eps.b, n)
 
 
 def _log_abs_sum(x: QuadInt) -> float:
@@ -101,12 +130,13 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     j = _guess_exponent(alpha, eps, n)
     if j:
         alpha = alpha * (eps**j if j >= 0 else inv**-j)
+    m, e, f = eps.m, eps.a, eps.b
     # too large: alpha**2 >= n*eps
-    while (n * eps - alpha * alpha).sign_real() <= 0:
+    while not _below_upper(*_square(alpha.a, alpha.b, m), m, e, f, n):
         alpha = alpha * inv
         j -= 1
     # too small: alpha**2 < n/eps
-    while (alpha * alpha * eps - n).sign_real() < 0:
+    while not _above_lower(*_square(alpha.a, alpha.b, m), m, e, f, n):
         alpha = alpha * eps
         j += 1
     return ReductionResult(j, alpha, n)

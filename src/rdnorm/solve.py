@@ -18,8 +18,8 @@ from math import gcd, isqrt
 from typing import Callable
 
 from .pell import fundamental_unit
-from .qint import DomainError, QuadInt, _sgn
-from .reduction import _check_reducer, in_window, reduce_window
+from .qint import DomainError, QuadInt, _sgn, sign_ab
+from .reduction import _check_reducer, _in_window, reduce_window
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
 # process (2-core Xeon VM, Python 3.11.7, numpy 2.4.6; median of 30 random
@@ -143,13 +143,18 @@ def _sort_key(x: QuadInt):
 def _orbits(m: int, n: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
     """The elements |+-a + b*sqrt(m)| over the hits (a, b) that lie in the
     window of norm n, in _sort_key order: the canonical reps, since each has
-    |b| <= B (coeff_bounds).  For b = 0 both signs give the same element."""
+    |b| <= B (coeff_bounds).  For b = 0 both signs give the same element.
+    Sign, absolute value and window test run on ints; only a kept
+    candidate becomes a QuadInt."""
+    e, f = eps.a, eps.b
     reps = []
     for a, b in hits:
         for x in (a, -a) if a and b else (a,):
-            rep = abs(QuadInt(x, b, m))
-            if in_window(rep, eps, n):
-                reps.append(rep)
+            y = b
+            if sign_ab(x, y, m) < 0:
+                x, y = -x, -y
+            if _in_window(x, y, m, e, f, n):
+                reps.append(QuadInt(x, y, m))
     return tuple(sorted(reps, key=_sort_key))
 
 

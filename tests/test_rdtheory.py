@@ -230,6 +230,46 @@ class TestVerifyProp:
         want = self.rule_26_canonical_rep_reference(t)
         assert list(verify_prop("2.6", t, t).exceptions) == want
 
+    @pytest.mark.parametrize("t", [1000, 10**4])
+    def test_rule_26_work_counts(self, monkeypatch, t):
+        """_orbits builds a QuadInt only for a rep it returns, and
+        _associate meets only rep-generator pairs of equal |norm|."""
+        built = 0
+        post_init = QuadInt.__post_init__
+
+        def counting_post_init(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        in_orbits = returned = 0
+        orbits = rdnorm.solve._orbits
+
+        def counting_orbits(*args):
+            nonlocal in_orbits, returned
+            before = built
+            reps = orbits(*args)
+            in_orbits += built - before
+            returned += len(reps)
+            return reps
+
+        pairs = 0
+        associate = rdtheory._associate
+
+        def checked_associate(x, y):
+            nonlocal pairs
+            pairs += 1
+            assert abs(x.norm()) == abs(y.norm()), (x, y)
+            return associate(x, y)
+
+        want = verify_prop("2.6", t, t)
+        monkeypatch.setattr(QuadInt, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rdnorm.solve, "_orbits", counting_orbits)
+        monkeypatch.setattr(rdtheory, "_associate", checked_associate)
+        assert verify_prop("2.6", t, t) == want
+        assert returned > 0 and pairs > 0
+        assert in_orbits <= returned
+
     def test_sweep_and_certificate_never_reduce(self, monkeypatch):
         want = self.per_n_reference("2.6", 12, 40)
 

@@ -4,11 +4,13 @@ from math import isqrt
 import pytest
 
 from rdnorm import (
+    DomainError,
     QuadInt,
     fundamental_unit,
     reduce_half,
     reduce_window,
     reduction,
+    solve_norm,
     unit_inverse,
 )
 from rdnorm.qint import is_square
@@ -110,6 +112,74 @@ class TestReduceWindowDifferential:
         monkeypatch.setattr(QuadInt, "__rmul__", counting_mul)
         assert reduce_window(xi, eps).j == j
         assert calls < 200  # one step at a time takes about 48 000
+
+
+def in_window_reference(alpha, eps, n):
+    """Reference: the window test by QuadInt arithmetic on alpha**2."""
+    sq = alpha * alpha
+    return (sq * eps - n).sign_real() >= 0 and (n * eps - sq).sign_real() > 0
+
+
+class TestInWindowDifferential:
+    """in_window, decided on plain ints, against the QuadInt reference."""
+
+    @staticmethod
+    def check(alpha, eps, n):
+        got = in_window(alpha, eps, n)
+        assert got == in_window_reference(alpha, eps, n), (alpha, eps, n)
+        return got
+
+    # eps has norm -1 for m = 10, 13, 29 and +1 for m = 3, 7, 146
+    @pytest.mark.parametrize("m", [10, 13, 29, 3, 7, 146])
+    def test_canonical_reps_and_their_neighbours(self, m):
+        eps = fundamental_unit(m)
+        inv = unit_inverse(eps)
+        inside = outside = 0
+        for n in range(1, 80):
+            for rep in solve_norm(m, n, eps=eps).reps:
+                for reducer in (eps, eps * eps):
+                    for x in (rep, rep * eps, rep * inv):
+                        if self.check(x, reducer, n):
+                            inside += 1
+                        else:
+                            outside += 1
+                assert in_window(rep, eps, n)
+                assert not in_window(rep * eps, eps, n)
+                assert not in_window(rep * inv, eps, n)
+        assert inside and outside
+
+    def test_window_edge_rep(self):
+        # -12 + sqrt(146) of norm -2 sits exactly on the lower edge:
+        # alpha**2 * eps == 2, and alpha * eps exactly on the upper edge
+        eps = QuadInt(145, 12, 146)
+        edge = QuadInt(-12, 1, 146)
+        assert edge * edge * eps == QuadInt(2, 0, 146)
+        assert self.check(edge, eps, 2)
+        assert not self.check(edge * eps, eps, 2)
+        assert not self.check(edge * unit_inverse(eps), eps, 2)
+        assert self.check(edge * eps, eps * eps, 2)
+
+    def test_random_elements(self):
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(3000):
+            m = rng.randrange(2, 500)
+            if is_square(m):
+                continue
+            eps = fundamental_unit(m)
+            if rng.random() < 0.5:
+                eps = eps * eps
+            a, b = rng.randrange(-400, 401), rng.randrange(-40, 41)
+            if a == b == 0:
+                continue
+            alpha = abs(QuadInt(a, b, m))
+            n = abs(alpha.norm()) + rng.choice((0, 0, -1, 1))
+            seen.add(self.check(alpha, eps, max(n, 1)))
+        assert seen == {True, False}
+
+    def test_rejects_mismatched_radicands(self):
+        with pytest.raises(DomainError):
+            in_window(QuadInt(3, 1, 11), EPS10, 2)
 
 
 class TestUnitInverse:
