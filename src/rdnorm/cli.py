@@ -10,17 +10,26 @@ Each cmd_* handler returns data: (exit code, JSON result, human lines),
 the lines as a zero-argument function so that they are formatted only when
 printed.  main alone writes stdout and the error message; the one other
 write is verify's notice on stderr when a sweep starts below its rule's
-first t, printed on every such call.  The parser is built on the
-first call of main and reused, so main may be called repeatedly in one
-process.
+first t, printed on every such call.  main keeps no state between calls,
+so it may be called repeatedly in one process.
+
+One table, _COMMANDS, holds each command's handler, positionals, flags,
+valued options and help line; _parse reads argv from it in one pass, with
+argparse's grammar: the command first, positionals in order (negative
+integers included), options anywhere after the command as --opt value or
+--opt=value or a unique prefix of either, the last occurrence winning.
+-h/--help prints help built from the table and exits 0; any other
+malformed argv prints a usage line and the error on stderr and exits 2,
+as SystemExit.  _dumps writes the --json envelope byte for byte as
+json.dumps(..., indent=2) would, without its pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
+import re
 import sys
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .pell import cf_sqrt, fundamental_unit, period_end_convergent
 from .qint import DomainError, QuadInt
@@ -98,70 +107,204 @@ def cmd_witness(args):
     ]
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rdnorm",
-        description="Units, window reduction and complete norm-form solving "
-                    "in real quadratic orders Z[sqrt(m)].",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_JSON_HELP = "emit one JSON document on stdout"
+_HELP_OPTIONS = ("-h", "--help")
 
-    p = sub.add_parser("unit", help="fundamental unit of Z[sqrt(m)]")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_unit)
+# command: (handler, positionals, flags, valued options, help line).  Each
+# positional is read by int() or is one of a tuple of choices; the flags and
+# valued options map to their help lines, and every valued option takes an
+# int and is required.
+_COMMANDS = {
+    "unit": (cmd_unit, (("m", int),), {"--json": _JSON_HELP}, {},
+             "fundamental unit of Z[sqrt(m)]"),
+    "solve": (cmd_solve, (("m", int), ("n", int)),
+              {"--primitive": "keep only orbits with coprime coordinates",
+               "--json": _JSON_HELP}, {},
+              "solve |x^2 - m*y^2| = n up to associates"),
+    "reduce": (cmd_reduce, (("m", int), ("a", int), ("b", int)),
+               {"--json": _JSON_HELP}, {},
+               "canonical window associate of a + b*sqrt(m)"),
+    "verify": (cmd_verify, (("prop", PROP_IDS),), {"--json": _JSON_HELP},
+               {"--t-min": "first t of the sweep", "--t-max": "last t of the sweep"},
+               "sweep an exclusion rule over a t range"),
+    "witness": (cmd_witness, (("l", int), ("q", int)), {"--json": _JSON_HELP}, {},
+                "class-number > 1 certificate for t = 2*l*q"),
+}
 
-    p = sub.add_parser("solve", help="solve |x^2 - m*y^2| = n up to associates")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--primitive", action="store_true",
-                   help="keep only orbits with coprime coordinates")
-    p.set_defaults(func=cmd_solve)
+# As in argparse: an argument that reads as a negative number, or holds a
+# space, is a value even though it starts with "-".
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("reduce", help="canonical window associate of a + b*sqrt(m)")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("verify", help="sweep an exclusion rule over a t range")
-    p.add_argument("prop", choices=PROP_IDS)
-    p.add_argument("--t-min", type=int, required=True)
-    p.add_argument("--t-max", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
 
-    p = sub.add_parser("witness", help="class-number > 1 certificate for t = 2*l*q")
-    p.add_argument("l", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_witness)
 
-    # added last, so that usage lines keep --json after each command's own options
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true",
-                       help="emit one JSON document on stdout")
-    return parser
+def _metavar(option: str) -> str:
+    return _dest(option).upper()
+
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: rdnorm [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, positionals, flags, options, _ = _COMMANDS[command]
+    return " ".join([
+        "usage: rdnorm", command, "[-h]",
+        *(f"{option} {_metavar(option)}" for option in options),
+        *(f"[{flag}]" for flag in flags),
+        *(name if kind is int else "{" + ",".join(kind) + "}"
+          for name, kind in positionals),
+    ])
+
+
+def _rows(rows: dict[str, str]) -> list[str]:
+    width = max(map(len, rows))
+    return [f"  {label:<{width}}  {text}" for label, text in rows.items()]
+
+
+def _help(command: str | None):
+    """Print the usage and the table's help lines on stdout, then exit 0."""
+    options = {", ".join(_HELP_OPTIONS): "show this help message and exit"}
+    if command is None:
+        lines = ["Units, window reduction and complete norm-form solving in real "
+                 "quadratic orders Z[sqrt(m)].", "", "commands:",
+                 *_rows({name: entry[4] for name, entry in _COMMANDS.items()})]
+    else:
+        _, _, flags, valued, summary = _COMMANDS[command]
+        lines = [summary]
+        options |= {f"{o} {_metavar(o)}": text for o, text in valued.items()} | flags
+    print("\n".join([_usage(command), "", *lines, "", "options:", *_rows(options)]))
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command: str | None, reason: str):
+    """Print the usage and the reason on stderr, then exit 2."""
+    prog = "rdnorm" if command is None else f"rdnorm {command}"
+    print(f"{_usage(command)}\n{prog}: error: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _split(command: str | None, arg: str, names) -> tuple[str | None, str | None]:
+    """(option, its "=value" or None) when arg names one of names, or a
+    unique prefix of one; (None, arg) when arg is a value; (arg, None) when
+    it is an unknown option."""
+    if not arg.startswith("-") or arg == "-":
+        return None, arg
+    if arg in names:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if arg.startswith("--") and len(name) > 2:
+        matches = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None, arg
+    return arg, None
+
+
+def _convert(command: str, name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)  # refuses more than 4300 digits: a usage error
+        except ValueError:
+            _fail(command, f"argument {name}: invalid int value: {text!r}")
+    if text not in kind:
+        _fail(command, f"argument {name}: invalid choice: {text!r} "
+                       f"(choose from {_choices(kind)})")
+    return text
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command, then its positionals in order, with its options anywhere
+    after the command, in one pass over argv."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        if _split(None, command, _HELP_OPTIONS) in (("-h", None), ("--help", None)):
+            _help(None)
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {_choices(_COMMANDS)})")
+    _, positionals, flags, options, _ = _COMMANDS[command]
+    names = (*_HELP_OPTIONS, *flags, *options)
+    args = SimpleNamespace(command=command, **dict.fromkeys(map(_dest, flags), False),
+                           **dict.fromkeys(map(_dest, options)))
+    values = []
+    tokens = iter(argv[1:])
+    for arg in tokens:
+        option, value = _split(command, arg, names)
+        if option is None and len(values) < len(positionals):
+            name, kind = positionals[len(values)]
+            values.append(_convert(command, name, kind, arg))
+        elif option not in names:
+            _fail(command, f"unrecognized arguments: {arg}")
+        elif value is not None and option not in options:
+            _fail(command, f"argument {option}: ignored explicit argument {value!r}")
+        elif option in _HELP_OPTIONS:
+            _help(command)
+        elif option in flags:
+            setattr(args, _dest(option), True)
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _split(command, value, names)[0] is not None:
+                    _fail(command, f"argument {option}: expected one argument")
+            setattr(args, _dest(option), _convert(command, option, int, value))
+    missing = [name for name, _ in positionals[len(values):]]
+    missing += [o for o in options if getattr(args, _dest(o)) is None]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    for (name, _), value in zip(positionals, values):
+        setattr(args, name, value)
+    return args
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for the types the envelopes hold: dicts
+    with str keys, lists, str, int and bool."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # Arguments keep the 4300-digit int<->str limit (absent before Python
     # 3.10.7), so an overlong one exits 2; output of any size prints.
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit(0)
     try:
-        code, result, human = args.func(args)
+        code, result, human = _COMMANDS[args.command][0](args)
         if args.json:
-            print(json.dumps({"command": args.command, "ok": True, "result": result},
-                             indent=2))
+            print(_dumps({"command": args.command, "ok": True, "result": result}))
         else:
             print("\n".join(human()))
         return code
     except DomainError as exc:
         if args.json:
             error = {"code": "domain-error", "message": str(exc)}
-            print(json.dumps({"command": args.command, "ok": False, "error": error},
-                             indent=2))
+            print(_dumps({"command": args.command, "ok": False, "error": error}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import re
@@ -6,11 +7,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdnorm
 from rdnorm import cli
 from rdnorm.cli import EXIT_EXCEPTIONS, EXIT_OK, EXIT_USAGE, main
 from rdnorm.qint import QuadInt
+from rdnorm.rdtheory import PROP_IDS
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench")
 
 
 def run(capsys, *argv):
@@ -273,3 +279,230 @@ class TestInvocation:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the table-driven one replaced, kept as its oracle."""
+    parser = argparse.ArgumentParser(
+        prog="rdnorm",
+        description="Units, window reduction and complete norm-form solving "
+                    "in real quadratic orders Z[sqrt(m)].",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("unit", help="fundamental unit of Z[sqrt(m)]")
+    p.add_argument("m", type=int)
+    p.set_defaults(func=cli.cmd_unit)
+
+    p = sub.add_parser("solve", help="solve |x^2 - m*y^2| = n up to associates")
+    p.add_argument("m", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("--primitive", action="store_true",
+                   help="keep only orbits with coprime coordinates")
+    p.set_defaults(func=cli.cmd_solve)
+
+    p = sub.add_parser("reduce", help="canonical window associate of a + b*sqrt(m)")
+    p.add_argument("m", type=int)
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+    p.set_defaults(func=cli.cmd_reduce)
+
+    p = sub.add_parser("verify", help="sweep an exclusion rule over a t range")
+    p.add_argument("prop", choices=PROP_IDS)
+    p.add_argument("--t-min", type=int, required=True)
+    p.add_argument("--t-max", type=int, required=True)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("witness", help="class-number > 1 certificate for t = 2*l*q")
+    p.add_argument("l", type=int)
+    p.add_argument("q", type=int)
+    p.set_defaults(func=cli.cmd_witness)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="emit one JSON document on stdout")
+    return parser
+
+
+def perfbench_module(name: str):
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    return __import__(name)
+
+
+@functools.cache
+def benchmark_ops() -> dict[str, list[dict]]:
+    """The seed-31 op lists of the benchmark's three workloads, at its
+    default run length of 20 s."""
+    workloads = perfbench_module("workloads")
+    return {w: workloads.make_ops(w, 31, 20) for w in workloads.WORKLOADS}
+
+
+def hangs(op: dict) -> bool:
+    """A solve left to the pure-Python scan, which runs for minutes."""
+    if op["kind"] != "solve":
+        return False
+    ref = perfbench_module("reference")
+    b = ref.b_bound(op["m"], op["n"], ref.pell_unit(op["m"]))
+    return op["m"] * (b + 1) ** 2 + op["n"] >= perfbench_module("workloads").INT64_SCAN_LIMIT
+
+
+def _with_json_everywhere(argv):
+    return [argv[:i] + ["--json"] + argv[i:] for i in range(1, len(argv) + 1)]
+
+
+WELL_FORMED = [
+    ["unit", "-3"],
+    ["reduce", "10", "4", "-1"],
+    ["reduce", "-10", "-4", "-1"],
+    ["unit", " 7 "],
+    ["unit", "-5 "],
+    ["verify", "2.3", "--t-min=5", "--t-max=7"],
+    ["verify", "2.3", "--t-min", "-5", "--t-max=-1"],
+    ["verify", "--t-min", "3", "--t-max", "4", "2.4"],
+    ["solve", "--primitive", "10", "36"],
+    ["solve", "10", "--primitive", "36"],
+    ["verify", "2.5", "--t-min", "2", "--t-min", "12", "--t-max", "9", "--t-max=20"],
+    ["solve", "10", "6", "--json", "--json", "--primitive", "--primitive"],
+    ["solve", "10", "36", "--prim"],
+    ["unit", "10", "--j"],
+    ["verify", "2.6", "--t-mi=12", "--t-ma", "13", "--js"],
+    *_with_json_everywhere(["solve", "10", "36", "--primitive"]),
+    *_with_json_everywhere(["verify", "2.3", "--t-min=2", "--t-max=3"]),
+    *_with_json_everywhere(["reduce", "10", "4", "-1"]),
+    *_with_json_everywhere(["witness", "2", "3"]),
+]
+
+MALFORMED = [
+    [],
+    ["prove", "2.3"],
+    ["unit"],
+    ["solve", "10"],
+    ["unit", "10", "11"],
+    ["solve", "10", "x"],
+    ["reduce", "2", "1" + "0" * 4999, "1"],
+    ["verify", "2.7", "--t-min", "2", "--t-max", "5"],
+    ["verify", "2.3", "--t-max", "5"],
+    ["unit", "10", "--bogus"],
+    ["unit", "10", "-x"],
+    ["verify", "2.3", "--t-m", "2", "--t-max", "5"],
+    ["verify", "2.3", "--t-max", "5", "--t-min"],
+    ["verify", "2.3", "--t-min", "--t-max", "5"],
+    ["unit", "10", "--json=yes"],
+    ["--json", "unit", "10"],
+]
+
+
+def assert_parsed_as_reference(argv):
+    want = vars(reference_parser().parse_args(argv))
+    got = vars(cli._parse(argv))
+    assert cli._COMMANDS[got["command"]][0] is want.pop("func")
+    assert got == want
+
+
+class TestParser:
+    """The table-driven parser reads argv as the argparse one did."""
+
+    def test_benchmark_argv_match_reference(self):
+        for ops in benchmark_ops().values():
+            for op in ops:
+                assert_parsed_as_reference(op["argv"])
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_well_formed_match_reference(self, argv):
+        assert_parsed_as_reference(argv)
+
+    @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv)[:40])
+    def test_malformed_exit_2_like_reference(self, capsys, argv):
+        for parse in (reference_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err
+            assert err.startswith("usage: rdnorm")
+
+
+class TestHelp:
+    def test_top_level_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: rdnorm")
+        for command in ("unit", "solve", "reduce", "verify", "witness"):
+            assert command in out
+
+    @pytest.mark.parametrize("command, options", [
+        ("unit", ["--json"]),
+        ("solve", ["--primitive", "--json"]),
+        ("reduce", ["--json"]),
+        ("verify", ["--t-min", "--t-max", "--json"]),
+        ("witness", ["--json"]),
+    ])
+    def test_command_names_its_options(self, capsys, command, options):
+        for flag in ("--help", "-h"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag])
+            assert exc.value.code == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(f"usage: rdnorm {command}")
+            for option in ["--help", *options]:
+                assert option in out
+
+
+def _lifted(fn):
+    """Run fn with the int<->str digit limit lifted, as main does for output."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+                          st.characters()))
+_big = st.tuples(st.integers(4300, 4400), st.integers(-9, 9)).map(
+    lambda p: p[1] * 10**p[0] + p[1])
+_json_values = st.recursive(
+    st.one_of(_text, st.integers(), _big, st.booleans()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """cli._dumps prints exactly what json.dumps(..., indent=2) prints."""
+
+    def test_benchmark_envelopes(self, capsys, monkeypatch):
+        envelopes = []
+        dumps = cli._dumps
+
+        def recorded(obj, *indent):
+            if not indent:  # a whole envelope, not a nested value
+                envelopes.append(obj)
+            return dumps(obj, *indent)
+
+        monkeypatch.setattr(cli, "_dumps", recorded)
+        ops = [op for ops in benchmark_ops().values() for op in ops if not hangs(op)]
+        for op in ops:
+            main(op["argv"])
+            capsys.readouterr()
+        assert len(envelopes) == len(ops)
+        for obj in envelopes:
+            assert _lifted(lambda: dumps(obj) == json.dumps(obj, indent=2))
+
+    @settings(deadline=None)  # json.dumps of a 4300-digit int is slow
+    @given(_json_values)
+    def test_matches_json_dumps(self, value):
+        assert _lifted(lambda: cli._dumps(value) == json.dumps(value, indent=2))
+
+    def test_empty_containers(self):
+        value = {"a": {}, "b": [], "c": [{}, []]}
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, None, {"a": [None]}, [0.0]])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
