@@ -14,22 +14,32 @@ first t, printed on every such call.  main keeps no state between calls,
 so it may be called repeatedly in one process.
 
 One table, _COMMANDS, holds each command's handler, positionals, flags,
-valued options and help line; _parse reads argv from it in one pass, with
-argparse's grammar: the command first, positionals in order (negative
-integers included), options anywhere after the command as --opt value or
---opt=value or a unique prefix of either, the last occurrence winning.
--h/--help prints help built from the table and exits 0; any other
-malformed argv prints a usage line and the error on stderr and exits 2,
-as SystemExit.  _dumps writes the --json envelope byte for byte as
-json.dumps(..., indent=2) would, without its pure-Python encoder.
+valued options and help line; _parse reads argv from it in one pass, as
+argparse read it: the command first, positionals in order, options
+anywhere after the command as --opt value or --opt=value or a unique
+prefix of either, the last occurrence winning.  An argument starting with
+"-" is a value when it holds a space or reads as a negative number, which
+_negative_number decides with str tests, not argparse's regular
+expression.  -h/--help prints help built from the table and exits 0; any
+other malformed argv prints a usage line and the error on stderr and
+exits 2, as SystemExit.  _dumps writes the --json envelope byte for byte
+as json.dumps(..., indent=2) would, quoting strings with the C encoder
+from _json that json itself uses.
+
+The module imports neither re, json nor argparse, and the package no
+dataclasses or typing, so a call pays little to start (README, "Start-up
+cost").
 """
 
 from __future__ import annotations
 
-import re
 import sys
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .pell import cf_sqrt, fundamental_unit, period_end_convergent
 from .qint import DomainError, QuadInt
@@ -131,11 +141,6 @@ _COMMANDS = {
                 "class-number > 1 certificate for t = 2*l*q"),
 }
 
-# As in argparse: an argument that reads as a negative number, or holds a
-# space, is a value even though it starts with "-".
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
 def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
@@ -188,6 +193,17 @@ def _fail(command: str | None, reason: str):
     raise SystemExit(EXIT_USAGE)
 
 
+def _negative_number(arg: str) -> bool:
+    r"""Whether arg, which starts with "-", matches argparse's pattern
+    ^-\d+$|^-\d*\.\d+$ for a negative number: \d is a character for which
+    str.isdecimal holds, and $ matches before one trailing newline too."""
+    number = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, fraction = number.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
 def _split(command: str | None, arg: str, names) -> tuple[str | None, str | None]:
     """(option, its "=value" or None) when arg names one of names, or a
     unique prefix of one; (None, arg) when arg is a value; (arg, None) when
@@ -203,7 +219,9 @@ def _split(command: str | None, arg: str, names) -> tuple[str | None, str | None
             _fail(command, f"ambiguous option: {name} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if eq else None
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+    # As in argparse: an argument that reads as a negative number, or holds
+    # a space, is a value even though it starts with "-".
+    if _negative_number(arg) or " " in arg:
         return None, arg
     return arg, None
 

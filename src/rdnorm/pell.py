@@ -13,19 +13,17 @@ than the O(L*d) of one recurrence step per quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .qint import DomainError, QuadInt, check_radicand
+from .qint import DomainError, QuadInt, Record, check_radicand
 
 
-@dataclass(frozen=True)
-class CFExpansion:
-    """Periodic continued fraction of sqrt(m): [a0; period repeating]."""
+class CFExpansion(Record):
+    """Periodic continued fraction of sqrt(m): [a0; period repeating],
+    with the int a0 and the period a tuple of ints."""
 
-    a0: int
-    period: tuple[int, ...]
+    __slots__ = ("a0", "period")
 
     @property
     def period_length(self) -> int:

@@ -8,8 +8,8 @@ float may pre-screen elsewhere, but nothing in this module ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 
 
 class DomainError(ValueError):
@@ -52,20 +52,95 @@ def sign_ab(a: int, b: int, m: int) -> int:
     return 1 if (a * a > m * b * b) == (a > 0) else -1
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class Record:
+    """Base of rdnorm's immutable value types.
+
+    A subclass names its fields, in order, in __slots__.  Construction by
+    position or keyword, equality and hashing on the fields, the repr and
+    pickling all follow from that tuple, as they would for a frozen
+    dataclass.  The fields named in _uncompared stay out of equality and
+    hashing.  A subclass whose fields have defaults gives itself an
+    __init__ with that signature, which passes every field on to
+    Record.__init__ by position.
+    """
+
+    __slots__ = ()
+    _uncompared: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*(f for f in cls.__slots__ if f not in cls._uncompared))
+        # the slots' own setters, which bypass __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from arguments bound as Python binds them
+        to parameters."""
+        name, fields = cls.__name__, cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but "
+                            f"{len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        values |= kwargs
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments {missing}")
+        return [values[f] for f in fields]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuild through __init__: __setattr__ refuses the default route
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class QuadInt(Record):
     """a + b*sqrt(m) with arbitrary-precision integer coefficients.
 
     Values are immutable; arithmetic requires equal radicands and raises
     DomainError on a mismatch.  Plain ints coerce to rational elements.
     """
 
-    a: int
-    b: int
-    m: int
+    __slots__ = ("a", "b", "m")
 
-    def __post_init__(self) -> None:
-        check_radicand(self.m)
+    def __init__(self, a: int, b: int, m: int) -> None:
+        # Runs on every multiply, so the slots are set directly.
+        # check_radicand is read from the module globals on each call: the
+        # benchmark's counting pass rebinds it there.
+        check_radicand(m)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_m(self, m)
 
     # -- ring operations -------------------------------------------------
 
@@ -178,6 +253,9 @@ class QuadInt:
 
     def __str__(self) -> str:
         return f"{self.a} {'+' if self.b >= 0 else '-'} {abs(self.b)}*sqrt({self.m})"
+
+
+_set_a, _set_b, _set_m = QuadInt._setters
 
 
 def cmp_real(x: QuadInt, y: QuadInt | int) -> int:

@@ -11,22 +11,17 @@ by one divisibility test, with no generator reduced into the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, NamedTuple
 
 from .pell import fundamental_unit
-from .qint import DomainError, QuadInt, check_radicand, is_square
+from .qint import DomainError, QuadInt, Record, check_radicand, is_square
 from .solve import _norm_table, is_representable
 
 
-@dataclass(frozen=True)
-class RDForm:
+class RDForm(Record):
     """Decomposition m = t**2 + r with |r| <= t and r | 4t."""
 
-    t: int
-    r: int
-    m: int
+    __slots__ = ("t", "r", "m")
 
 
 def rd_classify(m: int) -> RDForm | None:
@@ -45,22 +40,22 @@ def rd_classify(m: int) -> RDForm | None:
     return RDForm(t=t, r=r, m=m)
 
 
-@dataclass(frozen=True)
-class NormClassifier:
+class NormClassifier(Record):
     """Which n < threshold an exclusion rule allows to be representable.
 
     Perfect squares (n = x**2 - m*0**2) are always allowed; listed is the
-    rule's explicit finite set, double_square_escape admits n with 2n
-    square.  Rule 2.6 additionally constrains individual solution orbits
-    (handled by verify_prop, not expressible as a predicate on n alone).
+    rule's explicit finite set, a tuple; double_square_escape admits n
+    with 2n square.  Rule 2.6 additionally constrains individual solution
+    orbits (handled by verify_prop, not expressible as a predicate on n
+    alone); orbit_clause marks it.
     """
 
-    prop_id: str
-    t: int
-    threshold: int
-    listed: tuple[int, ...]
-    double_square_escape: bool = False
-    orbit_clause: bool = False
+    __slots__ = ("prop_id", "t", "threshold", "listed", "double_square_escape",
+                 "orbit_clause")
+
+    def __init__(self, prop_id: str, t: int, threshold: int, listed: tuple[int, ...],
+                 double_square_escape: bool = False, orbit_clause: bool = False) -> None:
+        super().__init__(prop_id, t, threshold, listed, double_square_escape, orbit_clause)
 
     @property
     def below_stated_range(self) -> bool:
@@ -75,10 +70,12 @@ class NormClassifier:
         return False
 
 
-class _Rule(NamedTuple):
-    first_t: int  # smallest t the rule is stated for
-    r: int  # the rule speaks about radicands m = t**2 + r
-    classifier: Callable[[int], NormClassifier]
+class _Rule(Record):
+    __slots__ = (
+        "first_t",  # smallest t the rule is stated for
+        "r",  # the rule speaks about radicands m = t**2 + r
+        "classifier",  # maps t to the rule's NormClassifier
+    )
 
 
 _RULES = {
@@ -135,24 +132,18 @@ def prop26_generators(t: int) -> list[QuadInt]:
     return gens
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A solution the rule's classifier fails to cover; always re-checkable:
     |x**2 - m*y**2| = n with m = prop_radicand(prop, t)."""
 
-    t: int
-    n: int
-    x: int
-    y: int
+    __slots__ = ("t", "n", "x", "y")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    prop_id: str
-    t_min: int
-    t_max: int
-    checked_count: int
-    exceptions: tuple[Counterexample, ...]
+class VerificationReport(Record):
+    """A sweep of rule prop_id over t in [t_min, t_max]: checked_count
+    cases, and the tuple of Counterexamples it found."""
+
+    __slots__ = ("prop_id", "t_min", "t_max", "checked_count", "exceptions")
 
     @property
     def clean(self) -> bool:
@@ -282,8 +273,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Certificate that the class number of the order
     O = Z[(1+sqrt(m))/2] exceeds 1 (that of Q(sqrt(m)) when m is
     squarefree).
@@ -292,14 +282,13 @@ class Witness:
     checks rule out |x**2 - m*y**2| = 4q and = q, so no element of O has
     norm +-q and no prime of O above q is principal.  O is the ring of
     integers of Q(sqrt(m)) only when m is squarefree; no check here says
-    whether it is.  All checks true <=> the certificate is valid.
+    whether it is.  checks maps each check's name to its outcome, and all
+    checks true <=> the certificate is valid.  Equality and hashing leave
+    checks out.
     """
 
-    l: int
-    q: int
-    t: int
-    m: int
-    checks: dict[str, bool] = field(compare=False)
+    __slots__ = ("l", "q", "t", "m", "checks")
+    _uncompared = ("checks",)
 
     @property
     def valid(self) -> bool:

@@ -13,24 +13,20 @@ start, never where they stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, log, log1p
 
 from .pell import is_unit
-from .qint import DomainError, QuadInt, sign_ab
+from .qint import DomainError, QuadInt, Record, sign_ab
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """Outcome of a window reduction.
 
     j is the exponent applied to the unit, alpha the positive reduced
-    associate, and n the absolute norm of alpha.
+    associate (a QuadInt), and n the absolute norm of alpha.
     """
 
-    j: int
-    alpha: QuadInt
-    n: int
+    __slots__ = ("j", "alpha", "n")
 
 
 def unit_inverse(eps: QuadInt) -> QuadInt:

@@ -12,13 +12,12 @@ hits by n (_norm_table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
 from math import gcd, isqrt
-from typing import Callable
 
 from .pell import fundamental_unit
-from .qint import DomainError, QuadInt, _sgn, sign_ab
+from .qint import DomainError, QuadInt, Record, _sgn, sign_ab
 from .reduction import _check_reducer, _in_window, reduce_window
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
@@ -179,14 +178,11 @@ def _norm_table(
     return {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Canonical orbit representatives of |x**2 - m*y**2| = n."""
+class SolutionSet(Record):
+    """Canonical orbit representatives of |x**2 - m*y**2| = n: the
+    tuple reps of QuadInts, one per orbit under the fundamental unit eps."""
 
-    m: int
-    n: int
-    eps: QuadInt
-    reps: tuple[QuadInt, ...]
+    __slots__ = ("m", "n", "eps", "reps")
 
     def __len__(self) -> int:
         return len(self.reps)

@@ -12,6 +12,7 @@ The result line must be strict JSON (no NaN or Infinity) and name exactly
 the metrics BENCHMARK.json declares for its trace level.
 """
 
+import importlib
 import json
 import math
 import os
@@ -44,6 +45,32 @@ def check_result_line(workload: str, trace: int) -> None:
     for name, metric in result["metrics"].items():
         value = metric["value"]
         assert type(value) in (int, float) and math.isfinite(value), (name, value)
+
+
+def test_counters_count_qint_hot_paths(monkeypatch):
+    """The counting pass's hooks reach QuadInt's multiply, sign test and
+    radicand check; a hook that missed one would report 0 calls."""
+    bench = os.path.join(ROOT, "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import tracing
+    from rdnorm.qint import QuadInt, check_radicand
+
+    # let monkeypatch put back what install() rebinds
+    for attr in ("__mul__", "__rmul__", "sign_real"):
+        monkeypatch.setattr(QuadInt, attr, vars(QuadInt)[attr])
+    for name in tracing.ALL_MODULES:
+        module = importlib.import_module(name)
+        for attr, obj in list(vars(module).items()):
+            if obj is check_radicand:
+                monkeypatch.setattr(module, attr, obj)
+    counters = tracing.Counters()
+    counters.install()
+    x = QuadInt(3, 1, 10)
+    assert x * x == QuadInt(19, 6, 10)
+    assert (x * x).sign_real() == 1
+    assert all(counters.counts[key] >= 1 for key in ("mul", "sign", "radicand")), \
+        counters.counts
 
 
 @pytest.mark.parametrize("workload", ["sweep", "units"])

@@ -231,6 +231,18 @@ class TestInvocation:
         assert doc["result"]["a"] == "3" and doc["result"]["b"] == "1"
         assert proc.stderr == ""
 
+    def test_import_loads_no_heavy_module(self):
+        # -S: no site hook may import these first and hide them
+        src = os.path.dirname(os.path.dirname(rdnorm.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import rdnorm.cli; "
+                "print(*sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60, check=True)
+        loaded = set(proc.stdout.split())
+        assert "rdnorm.cli" in loaded
+        heavy = {"dataclasses", "inspect", "typing", "re", "json", "enum", "argparse"}
+        assert loaded & heavy == set()
+
     def test_json_is_single_document(self, capsys):
         _, out, _ = run(capsys, "solve", "10", "6", "--json")
         json.loads(out)  # raises if more than one document
@@ -357,6 +369,10 @@ WELL_FORMED = [
     ["reduce", "-10", "-4", "-1"],
     ["unit", " 7 "],
     ["unit", "-5 "],
+    ["unit", "-5\n"],
+    ["unit", "-\u0663"],  # ARABIC-INDIC DIGIT THREE: a decimal, read by int()
+    ["reduce", "10", "-\u0663", "-1\n"],
+    ["verify", "2.3", "--t-min", "-5\n", "--t-max", "-\u0663"],
     ["verify", "2.3", "--t-min=5", "--t-max=7"],
     ["verify", "2.3", "--t-min", "-5", "--t-max=-1"],
     ["verify", "--t-min", "3", "--t-max", "4", "2.4"],
@@ -390,6 +406,14 @@ MALFORMED = [
     ["verify", "2.3", "--t-min", "--t-max", "5"],
     ["unit", "10", "--json=yes"],
     ["--json", "unit", "10"],
+    ["unit", "-\u00b2"],  # SUPERSCRIPT TWO: a digit, but not a decimal
+    ["unit", "-.5"],
+    ["unit", "-1.5"],
+    ["unit", "-"],
+    ["unit", "--"],
+    ["unit", "-5\n\n"],
+    ["verify", "2.3", "--t-min", "-.5", "--t-max", "5"],
+    ["verify", "2.3", "--t-min", "-\u00b2", "--t-max", "5"],
 ]
 
 
@@ -411,6 +435,12 @@ class TestParser:
     @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
     def test_well_formed_match_reference(self, argv):
         assert_parsed_as_reference(argv)
+
+    @given(st.text(st.sampled_from("-0.9\n \u0663\u00b2x"), max_size=6))
+    def test_negative_number_matches_argparse(self, tail):
+        matcher = argparse.ArgumentParser()._negative_number_matcher
+        arg = "-" + tail
+        assert cli._negative_number(arg) == bool(matcher.match(arg))
 
     @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv)[:40])
     def test_malformed_exit_2_like_reference(self, capsys, argv):
