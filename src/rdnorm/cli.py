@@ -17,7 +17,8 @@ One table, _COMMANDS, holds each command's handler, positionals, flags,
 valued options and help line; _parse reads argv from it in one pass, as
 argparse read it: the command first, positionals in order, options
 anywhere after the command as --opt value or --opt=value or a unique
-prefix of either, the last occurrence winning.  An argument starting with
+prefix of either, the last occurrence winning, up to a first "--", after
+which every argument is a positional.  An argument starting with
 "-" is a value when it holds a space or reads as a negative number, which
 _negative_number decides with str tests, not argparse's regular
 expression.  -h/--help prints help built from the table and exits 0; any
@@ -55,7 +56,7 @@ EXIT_USAGE = 2
 def cmd_unit(args):
     cf = cf_sqrt(args.m)
     eps = QuadInt(*period_end_convergent(cf), args.m)
-    norm = eps.norm()
+    norm = (-1) ** cf.period_length
     result = {
         "m": str(args.m),
         "a": str(eps.a),
@@ -254,10 +255,20 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     args = SimpleNamespace(command=command, **dict.fromkeys(map(_dest, flags), False),
                            **dict.fromkeys(map(_dest, options)))
     values = []
+    ended = False  # a "--" was read: every later argument is a positional
+    after_value = False  # the argument before was a positional
     tokens = iter(argv[1:])
     for arg in tokens:
-        option, value = _split(command, arg, names)
-        if option is None and len(values) < len(positionals):
+        if arg == "--" and not ended:
+            # argparse drops the first "--" from the values of a positional
+            # on either side of it, and refuses it when there is none
+            ended = True
+            if not after_value and len(values) == len(positionals):
+                _fail(command, f"unrecognized arguments: {arg}")
+            continue
+        option, value = (None, arg) if ended else _split(command, arg, names)
+        after_value = option is None and len(values) < len(positionals)
+        if after_value:
             name, kind = positionals[len(values)]
             values.append(_convert(command, name, kind, arg))
         elif option not in names:

@@ -5,10 +5,15 @@ never of the maximal order; units of norm -1 are accepted (and returned,
 being the smaller generator, whenever the period length is odd).
 
 The unit is the convergent at the end of the first period, i.e. the
-product of the matrices [[a, 1], [1, 0]] of the partial quotients.  That
-product is formed by binary splitting, pairwise in a balanced tree, so
-its cost is O(M(d) log L) for a d-digit unit and period length L rather
-than the O(L*d) of one recurrence step per quotient.
+product of the matrices [[a, 1], [1, 0]] of the partial quotients.  The
+period a1, ..., aL of sqrt(m) ends in 2*a0 and a1, ..., a(L-1) is a
+palindrome, so only its first half is computed: the (P, Q) walk stops at
+the centre, and with S the product over the first half, the one over
+a1, ..., a(L-1) is S*S^T (L odd) or S*M*S^T with the centre's matrix M
+(L even).  S is formed
+by binary splitting, pairwise in a balanced tree, so its cost is
+O(M(d) log L) for a d-digit unit and period length L rather than the
+O(L*d) of one recurrence step per quotient.
 """
 
 from __future__ import annotations
@@ -31,24 +36,28 @@ class CFExpansion(Record):
 
 
 def cf_sqrt(m: int) -> CFExpansion:
-    """Expand sqrt(m) by the (P, Q) recurrence.
+    """Expand sqrt(m) by the (P, Q) recurrence, walking half the period.
 
-    The period is closed at the first return of the (P, Q) state, not by
-    any palindrome shortcut.
+    The states are palindromic too: Q_k = Q_(L-k) and P_k = P_(L+1-k), and
+    within the first period Q_k = Q_(k-1) holds only for L = 2k - 1 and
+    P_(k+1) = P_k only for L = 2k.  The walk stops at the first of the two
+    and the period is the quotients read forth and back, then 2*a0.
     """
     check_radicand(m)
     a0 = isqrt(m)
-    P, Q = a0, m - a0 * a0
-    Q0 = Q
-    period = []
-    while True:
+    # (P, Q) is (P_k, Q_k) and Q_prev is Q_(k-1), from k = 1 on, Q_0 = 1;
+    # Q_1 = 1 is the period of length 1, m = a0**2 + 1
+    P, Q, Q_prev = a0, m - a0 * a0, 1
+    half = []
+    while Q != Q_prev:
         a = (a0 + P) // Q
-        period.append(a)
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        if P == a0 and Q == Q0:
-            break
-    return CFExpansion(a0, tuple(period))
+        half.append(a)
+        P_next = a * Q - P
+        if P_next == P:  # L = 2k and a = a_k is the centre, read once
+            return CFExpansion(a0, (*half, *half[-2::-1], 2 * a0))
+        # Q_(k+1) = (m - P_(k+1)**2) / Q_k, by an identity free of division
+        P, Q, Q_prev = P_next, Q_prev + a * (P - P_next), Q
+    return CFExpansion(a0, (*half, *half[::-1], 2 * a0))
 
 
 # Below this many quotients a range is multiplied out by the plain
@@ -82,14 +91,21 @@ def period_end_convergent(cf: CFExpansion) -> tuple[int, int]:
     p + q*sqrt(m) is the fundamental unit of Z[sqrt(m)]; its norm is
     (-1) ** period_length.
     """
-    quotients = (cf.a0,) + cf.period[:-1]
-    # only the first column of the product is needed: the top level is
-    # split here so that the four largest multiplications, which would
-    # form the second column, are skipped
-    mid = len(quotients) // 2
-    A, B, C, D = _cf_matrix(quotients, 0, mid)
-    E, _, G, _ = _cf_matrix(quotients, mid, len(quotients))
-    return A * E + B * G, C * E + D * G
+    rest = cf.period[:-1]
+    if rest != rest[::-1]:
+        # not the expansion of a square root: multiply every quotient
+        p, _, q, _ = _cf_matrix((cf.a0,) + rest, 0, len(rest) + 1)
+        return p, q
+    # The quotients a0, a1, ..., ah before the centre multiply to
+    # T = M(a0)*S = [[p, p_prev], [q, q_prev]], so S's first row is
+    # (q, q_prev).  The unit, the first column of T*S^T (L odd) or of
+    # T*M(c)*S^T (L even, centre c), is T or T*M(c) times (q, q_prev).
+    h = len(rest) // 2
+    p, p_prev, q, q_prev = _cf_matrix((cf.a0,) + rest[:h], 0, h + 1)
+    if len(rest) % 2 == 0:
+        return p * q + p_prev * q_prev, q * q + q_prev * q_prev
+    c = rest[h]
+    return (c * p + p_prev) * q + p * q_prev, q * (c * q + 2 * q_prev)
 
 
 @lru_cache(maxsize=1024)

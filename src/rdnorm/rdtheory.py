@@ -189,9 +189,9 @@ def _associate(x: QuadInt, y: QuadInt) -> bool:
     return p.a % n == 0 and p.b % n == 0
 
 
-def _verify_single_t(prop_id: str, t: int) -> list[Counterexample]:
-    cls = _rule(prop_id).classifier(t)
-    m = prop_radicand(prop_id, t)
+def _verify_single_t(cls: NormClassifier) -> list[Counterexample]:
+    t = cls.t
+    m = prop_radicand(cls.prop_id, t)
     eps = fundamental_unit(m)
     if not cls.orbit_clause:
         table = _norm_table(m, cls.threshold, eps, lambda n: not cls.allows(n))
@@ -230,10 +230,13 @@ def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
                           f"and needs m = t**2{rule.r:+d} >= 2, got t_min={t_min}")
     if t_min > t_max:
         raise DomainError("t_min must not exceed t_max")
-    ts = range(t_min, t_max + 1)
-    checked = sum(rule.classifier(t).threshold - 1 for t in ts)
-    exceptions = tuple(e for t in ts for e in _verify_single_t(prop_id, t))
-    return VerificationReport(prop_id, t_min, t_max, checked, exceptions)
+    checked = 0
+    exceptions = []
+    for t in range(t_min, t_max + 1):
+        cls = rule.classifier(t)
+        checked += cls.threshold - 1
+        exceptions += _verify_single_t(cls)
+    return VerificationReport(prop_id, t_min, t_max, checked, tuple(exceptions))
 
 
 # -- class-number witness -----------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import rdnorm
 from rdnorm import cli
 from rdnorm.cli import EXIT_EXCEPTIONS, EXIT_OK, EXIT_USAGE, main
-from rdnorm.qint import QuadInt
+from rdnorm.qint import QuadInt, is_square
 from rdnorm.rdtheory import PROP_IDS
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -67,6 +67,17 @@ class TestUnit:
         assert doc["ok"] is False and doc["error"]["code"] == "domain-error"
         assert "error:" in err
 
+    def test_norm_is_exact(self, capsys):
+        # cmd_unit reports the norm from the period's parity; check it
+        # against the printed coefficients
+        for m in range(2, 2000):
+            if is_square(m):
+                continue
+            code, doc, _ = run_json(capsys, "unit", str(m))
+            assert code == EXIT_OK
+            r = doc["result"]
+            assert int(r["a"]) ** 2 - m * int(r["b"]) ** 2 == r["norm"], m
+
     def test_unit_beyond_str_digit_limit(self, capsys):
         # a 6382-digit unit, past CPython's default 4300-digit str limit
         limit = sys.get_int_max_str_digits()
@@ -80,7 +91,7 @@ class TestUnit:
             a, b = int(r["a"]), int(r["b"])
         finally:
             sys.set_int_max_str_digits(limit)
-        assert a * a - 1000000007 * b * b in (1, -1)
+        assert a * a - 1000000007 * b * b == r["norm"]
         # the human text prints the same coefficients
         code, out, _ = run(capsys, "unit", "1000000007")
         assert code == EXIT_OK
@@ -363,6 +374,11 @@ def _with_json_everywhere(argv):
     return [argv[:i] + ["--json"] + argv[i:] for i in range(1, len(argv) + 1)]
 
 
+def _with_double_dash_everywhere(argv):
+    """argv with "--" inserted after the command, at each position in turn."""
+    return [argv[:i] + ["--"] + argv[i:] for i in range(1, len(argv) + 1)]
+
+
 WELL_FORMED = [
     ["unit", "-3"],
     ["reduce", "10", "4", "-1"],
@@ -387,6 +403,14 @@ WELL_FORMED = [
     *_with_json_everywhere(["verify", "2.3", "--t-min=2", "--t-max=3"]),
     *_with_json_everywhere(["reduce", "10", "4", "-1"]),
     *_with_json_everywhere(["witness", "2", "3"]),
+    # "--" ends the options; argparse drops it from the values of the
+    # positional next to it, before or after
+    *_with_double_dash_everywhere(["unit", "5"]),
+    *_with_double_dash_everywhere(["reduce", "10", "4", "-1"]),
+    *_with_double_dash_everywhere(["solve", "--primitive", "10", "36"])[1:],
+    *_with_double_dash_everywhere(["verify", "--t-min", "2", "--t-max", "3", "2.3"])[4:],
+    ["unit", "--json", "--", "-5"],
+    ["solve", "10", "--json", "--", "36"],
 ]
 
 MALFORMED = [
@@ -411,6 +435,16 @@ MALFORMED = [
     ["unit", "-1.5"],
     ["unit", "-"],
     ["unit", "--"],
+    # an option after "--" is a value; "--" that no positional takes is an
+    # unrecognized argument; a second "--" is a value
+    *_with_double_dash_everywhere(["unit", "10", "--json"]),
+    *_with_double_dash_everywhere(["solve", "--primitive", "10", "36"])[:1],
+    *_with_double_dash_everywhere(["verify", "--t-min", "2", "--t-max", "3", "2.3"])[:4],
+    *_with_double_dash_everywhere(["verify", "2.3", "--t-min", "2", "--t-max", "3"]),
+    ["unit", "--json", "--"],
+    ["unit", "--", "--", "5"],
+    ["unit", "5", "--", "--"],
+    ["unit", "--", "-h"],
     ["unit", "-5\n\n"],
     ["verify", "2.3", "--t-min", "-.5", "--t-max", "5"],
     ["verify", "2.3", "--t-min", "-\u00b2", "--t-max", "5"],

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from math import isqrt
 
 import pytest
@@ -12,7 +14,27 @@ from rdnorm import (
     is_unit,
     rd_unit,
 )
+from rdnorm import pell
 from rdnorm.pell import _cf_matrix, period_end_convergent
+
+# the shapes a0**2 + r, r in {1, -1, 2, -2}: periods of length 1, 2 and 4
+FAMILIES = sorted({a0 * a0 + r for a0 in range(2, 301) for r in (1, -1, 2, -2)} | {2, 3})
+
+
+def full_period_cf(m):
+    """Reference: walk the (P, Q) recurrence over the whole period, until
+    its state returns, with no use of the palindrome."""
+    a0 = isqrt(m)
+    P, Q = a0, m - a0 * a0
+    Q0 = Q
+    period = []
+    while True:
+        a = (a0 + P) // Q
+        period.append(a)
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        if P == a0 and Q == Q0:
+            return CFExpansion(a0, tuple(period))
 
 
 def plain_convergents(a0, rest):
@@ -27,6 +49,42 @@ def plain_convergents(a0, rest):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     return p, p_prev, q, q_prev
+
+
+def full_period_unit(cf):
+    """Reference: the convergent before the period repeats, by one
+    recurrence step per quotient of the whole period."""
+    p, _, q, _ = plain_convergents(cf.a0, cf.period[:-1])
+    return p, q
+
+
+def random_palindrome(rng, length):
+    half = tuple(rng.randint(1, 10**6) for _ in range(length // 2))
+    centre = (rng.randint(1, 10**6),) if length % 2 else ()
+    return half + centre + half[::-1]
+
+
+def walk_steps(m):
+    """cf_sqrt(m) and the number of quotients its walk computed, counted as
+    the executions of the one line that divides by Q."""
+    code = pell.cf_sqrt.__code__
+    lines = inspect.getsourcelines(pell.cf_sqrt)
+    step_line = lines[1] + next(i for i, line in enumerate(lines[0]) if "// Q" in line)
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == step_line:
+            steps += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        cf = pell.cf_sqrt(m)
+    finally:
+        sys.settrace(previous)
+    return cf, steps
 
 
 def smallest_unit_by_scan(m, b_cap=None):
@@ -79,6 +137,38 @@ class TestCFExpansion:
             assert cf.period
             assert cf.period[-1] == 2 * cf.a0
 
+    @pytest.mark.parametrize("ms", [range(2, 20000), FAMILIES],
+                             ids=["below_2e4", "a0_squared_pm_1_2"])
+    def test_half_walk_matches_full_walk(self, ms):
+        for m in ms:
+            if is_square(m):
+                continue
+            cf = cf_sqrt(m)
+            assert cf == full_period_cf(m), m
+            assert period_end_convergent(cf) == full_period_unit(cf), m
+            assert fundamental_unit(m) == QuadInt(*full_period_unit(cf), m), m
+
+    def test_walk_stops_at_the_centre(self):
+        for m in [2, 3, 7, 13, 94, 10**9 + 9]:
+            cf, steps = walk_steps(m)
+            assert cf == full_period_cf(m)
+            assert steps <= cf.period_length // 2 + 1
+
+    def test_product_covers_half_the_period(self, monkeypatch):
+        multiplied = 0
+        matrix = pell._cf_matrix
+
+        def counted(quotients, lo, hi):
+            nonlocal multiplied
+            if hi - lo <= pell._LEAF:
+                multiplied += hi - lo
+            return matrix(quotients, lo, hi)
+
+        cf = cf_sqrt(10**9 + 9)
+        monkeypatch.setattr(pell, "_cf_matrix", counted)
+        assert period_end_convergent(cf) == full_period_unit(cf)
+        assert 0 < multiplied <= cf.period_length // 2 + 1
+
     def test_period_end_convergent_is_unit(self):
         for m in range(2, 300):
             if is_square(m):
@@ -102,6 +192,13 @@ class TestProductTree:
         for length in range(1, 301):
             self.check(tuple(rng.randint(1, 10**6) for _ in range(length)))
 
+    def test_palindromic_quotients(self):
+        # period_end_convergent multiplies half of a palindromic period only
+        rng = random.Random(1729)
+        for length in [*range(0, 4), *range(60, 70), 257, 258, 4001, 4002]:
+            for _ in range(3):
+                self.check((rng.randint(1, 10**6),) + random_palindrome(rng, length))
+
     def test_long_random_quotient_list(self):
         rng = random.Random(6608)
         self.check(tuple(rng.randint(1, 10**6) for _ in range(5000)))
@@ -109,7 +206,8 @@ class TestProductTree:
     @pytest.mark.parametrize("m", [10**9 + 9, 10**10 + 19])
     def test_large_unit_matches_plain_recurrence(self, m):
         cf = cf_sqrt(m)
-        p, _, q, _ = plain_convergents(cf.a0, cf.period[:-1])
+        assert cf == full_period_cf(m)
+        p, q = full_period_unit(cf)
         eps = fundamental_unit(m)
         assert eps == QuadInt(p, q, m)
         assert eps.norm() == (-1) ** cf.period_length

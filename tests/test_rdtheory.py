@@ -282,6 +282,20 @@ class TestVerifyProp:
         assert verify_prop("2.6", 12, 40) == want
         assert class_number_witness(2, 3).valid
 
+    @pytest.mark.parametrize("prop_id", PROP_IDS)
+    def test_one_classifier_per_t(self, monkeypatch, prop_id):
+        want = verify_prop(prop_id, 12, 16)
+        built = []
+        init = rdtheory.NormClassifier.__init__
+
+        def counting_init(self, prop_id, t, *args, **kwargs):
+            built.append(t)
+            init(self, prop_id, t, *args, **kwargs)
+
+        monkeypatch.setattr(rdtheory.NormClassifier, "__init__", counting_init)
+        assert verify_prop(prop_id, 12, 16) == want
+        assert built == [12, 13, 14, 15, 16]
+
     def test_report_json_shape(self):
         doc = verify_prop("2.4", 3, 3).to_json()
         assert doc["prop"] == "2.4"
