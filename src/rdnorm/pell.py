@@ -89,13 +89,13 @@ def period_end_convergent(cf: CFExpansion) -> tuple[int, int]:
     """Convergent p/q of the expansion cf just before the period repeats.
 
     p + q*sqrt(m) is the fundamental unit of Z[sqrt(m)]; its norm is
-    (-1) ** period_length.
+    (-1) ** period_length.  Raises DomainError unless cf is the expansion
+    of a square root: a period ending in 2*a0, the rest a palindrome.
     """
     rest = cf.period[:-1]
-    if rest != rest[::-1]:
-        # not the expansion of a square root: multiply every quotient
-        p, _, q, _ = _cf_matrix((cf.a0,) + rest, 0, len(rest) + 1)
-        return p, q
+    if not cf.period or cf.period[-1] != 2 * cf.a0 or rest != rest[::-1]:
+        raise DomainError(f"not the expansion of a square root: a0 = {cf.a0}, "
+                          f"period length {cf.period_length}")
     # The quotients a0, a1, ..., ah before the centre multiply to
     # T = M(a0)*S = [[p, p_prev], [q, q_prev]], so S's first row is
     # (q, q_prev).  The unit, the first column of T*S^T (L odd) or of

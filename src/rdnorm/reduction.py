@@ -4,11 +4,11 @@ Every nonzero xi has a unique associate +-xi*eps**j that is positive and
 lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The exponent j
 is guessed from floating-point logarithms and applied by binary powering;
 exact steps by eps then fix it up.  The window tests are carried out on
-squared (or fourth-power) quantities so that they stay inside Z[sqrt(m)]
-and are decided exactly by integer signs: sign_ab on the coefficients of
-alpha**2*eps - n and n*eps - alpha**2 for the window, sign_real for
-reduce_half's fourth powers.  The float guess only sets where the steps
-start, never where they stop.
+squared quantities so that they stay inside Z[sqrt(m)] and are decided
+exactly by integer signs: sign_ab on the coefficients of alpha**2*eps - n
+and n*eps - alpha**2.  reduce_half's half window of alpha at norm n is the
+window of alpha**2 at norm n**2, so it runs the same two tests.  The float
+guess only sets where the steps start, never where they stop.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ def unit_inverse(eps: QuadInt) -> QuadInt:
     raise DomainError(f"{eps} is not a unit (norm {nrm})")
 
 
-def _check_reducer(eps: QuadInt) -> None:
+def _check_reducer(eps: QuadInt, m: int) -> None:
+    if eps.m != m:
+        raise DomainError(f"unit {eps} does not lie in Z[sqrt({m})]")
     if not is_unit(eps):
         raise DomainError(f"{eps} is not a unit")
     # A unit eps > 1 has |conj(eps)| = 1/eps < 1, so a = (eps + conj)/2 and
@@ -72,14 +74,15 @@ def _in_window(a: int, b: int, m: int, e: int, f: int, n: int) -> bool:
 
 
 def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
-    """Exact test for sqrt(n/eps) <= alpha < sqrt(n*eps), alpha > 0 assumed.
+    """Exact test for sqrt(n/eps) <= alpha < sqrt(n*eps); False for alpha <= 0.
 
     Decided on squares, alpha**2*eps >= n and alpha**2 < n*eps, by the
     integer sign of each difference; no QuadInt is built.
     """
     if alpha.m != eps.m:
         raise DomainError(f"mismatched radicands: {alpha.m} vs {eps.m}")
-    return _in_window(alpha.a, alpha.b, eps.m, eps.a, eps.b, n)
+    return (sign_ab(alpha.a, alpha.b, alpha.m) > 0
+            and _in_window(alpha.a, alpha.b, eps.m, eps.a, eps.b, n))
 
 
 def _log_abs_sum(x: QuadInt) -> float:
@@ -119,7 +122,7 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     """
     if xi.is_zero():
         raise DomainError("cannot reduce zero")
-    _check_reducer(eps)
+    _check_reducer(eps, xi.m)
     n = abs(xi.norm())
     alpha = abs(xi)
     inv = unit_inverse(eps)
@@ -150,8 +153,9 @@ def reduce_half(
     If the result already sits in the upper half
     [sqrt(n/sqrt(eps)), sqrt(n*sqrt(eps))), the case is "direct"; otherwise
     it is multiplied once by delta, doubling the absolute norm and landing
-    in [sqrt(2n/sqrt(eps)), sqrt(2n*sqrt(eps))).  All comparisons use exact
-    fourth-power forms.
+    in [sqrt(2n/sqrt(eps)), sqrt(2n*sqrt(eps))).  A half window at norm n
+    holds alpha iff the window at norm n**2 holds alpha**2, so the window's
+    integer half-tests, on the coefficients of alpha**4, decide both edges.
     """
     t = delta.a
     if delta.b != 1 or t < 1 or delta.m != t * t + 2:
@@ -161,19 +165,17 @@ def reduce_half(
 
     res = reduce_window(xi, eps)
     j, alpha, n = res.j, res.alpha, res.n
-    nn = n * n
-
-    def fourth(x: QuadInt) -> QuadInt:
-        sq = x * x
-        return sq * sq
+    m, e, f, nn = eps.m, eps.a, eps.b, n * n
 
     # upper edge: alpha < sqrt(n*sqrt(eps))  <=>  alpha**4 < n**2 * eps
-    if (nn * eps - fourth(alpha)).sign_real() <= 0:
+    a4 = _square(*_square(alpha.a, alpha.b, m), m)
+    if not _below_upper(*a4, m, e, f, nn):
         alpha = alpha * unit_inverse(eps)
         j -= 1
+        a4 = _square(*_square(alpha.a, alpha.b, m), m)
 
     # upper half-window: alpha >= sqrt(n/sqrt(eps))  <=>  alpha**4 * eps >= n**2
-    if (fourth(alpha) * eps - nn).sign_real() >= 0:
+    if _above_lower(*a4, m, e, f, nn):
         return ReductionResult(j, alpha, n), "direct"
     alpha = alpha * delta
     return ReductionResult(j, alpha, abs(alpha.norm())), "delta-multiplied"

@@ -44,9 +44,7 @@ def coeff_bounds(m: int, n: int, eps: QuadInt) -> tuple[int, int]:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if eps.m != m:
-        raise DomainError(f"unit {eps} does not lie in Z[sqrt({m})]")
-    _check_reducer(eps)
+    _check_reducer(eps, m)
     if eps.norm() == 1:
         s = 2 * n * (eps.a + 1)
     else:
@@ -72,7 +70,7 @@ def _scan_py(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
 
 
 def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
-    """Sieved numpy version of _scan_py; identical output.
+    """Sieved numpy version of _scan_py; the same hits.
 
     For each sign, b survives mod 4032 = lcm(64, 63) and mod 65 only if
     m*b**2 + s is a square residue; survivors (a couple of percent) get the
@@ -104,7 +102,6 @@ def _scan_np(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
                 cand = a + d
                 ok = (cand >= 0) & (cand * cand == w)
                 hits.extend(zip(cand[ok].tolist(), b[ok].tolist()))
-    hits.sort(key=lambda h: (h[1], h[0]))
     return hits
 
 

@@ -267,21 +267,6 @@ class TestInvocation:
         with pytest.raises(ValueError, match="internal failure"):
             main(["solve", "10", "6"])
 
-    def test_parser_is_built_once(self, capsys, monkeypatch):
-        main(["unit", "10"])  # builds the parser, if no earlier call did
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        for argv in (["unit", "10"], ["solve", "10", "6", "--json"],
-                     ["verify", "2.3", "--t-min", "2", "--t-max", "3"]):
-            main(argv)
-        assert built == []
-
     @pytest.mark.parametrize("argv", [
         ["unit", "146"],
         ["solve", "10", "6"],

@@ -7,6 +7,7 @@ import pytest
 
 from rdnorm import (
     CFExpansion,
+    DomainError,
     QuadInt,
     cf_sqrt,
     fundamental_unit,
@@ -183,9 +184,16 @@ class TestProductTree:
         a0, rest = quotients[0], quotients[1:]
         p, p_prev, q, q_prev = plain_convergents(a0, rest)
         assert _cf_matrix(quotients, 0, len(quotients)) == (p, p_prev, q, q_prev)
-        # period_end_convergent drops the period's last quotient
+        # period_end_convergent drops the period's last quotient, and takes
+        # only the expansion of a square root, whose rest is a palindrome
         cf = CFExpansion(a0, rest + (2 * a0,))
-        assert period_end_convergent(cf) == (p, q)
+        if rest == rest[::-1]:
+            assert period_end_convergent(cf) == (p, q)
+        else:
+            # the message names a0 and L, never the (maybe 5000) quotients
+            with pytest.raises(DomainError, match=f"a0 = {a0}, period length "
+                               f"{len(rest) + 1}$"):
+                period_end_convergent(cf)
 
     def test_random_quotients_cross_leaf_boundaries(self):
         rng = random.Random(20131024)
@@ -202,6 +210,17 @@ class TestProductTree:
     def test_long_random_quotient_list(self):
         rng = random.Random(6608)
         self.check(tuple(rng.randint(1, 10**6) for _ in range(5000)))
+
+    @pytest.mark.parametrize("cf", [
+        CFExpansion(3, ()),
+        CFExpansion(3, (5,)),
+        CFExpansion(3, (1, 2, 6)),
+        CFExpansion(3, (6, 1, 2, 2, 1, 6)),
+    ], ids=["empty-period", "last-not-2a0", "rest-not-palindrome",
+            "even-rest-not-palindrome"])
+    def test_rejects_expansions_not_of_a_square_root(self, cf):
+        with pytest.raises(DomainError, match="a0 = 3, period length"):
+            period_end_convergent(cf)
 
     @pytest.mark.parametrize("m", [10**9 + 9, 10**10 + 19])
     def test_large_unit_matches_plain_recurrence(self, m):

@@ -181,6 +181,15 @@ class TestInWindowDifferential:
         with pytest.raises(DomainError):
             in_window(QuadInt(3, 1, 11), EPS10, 2)
 
+    def test_nonpositive_alpha_is_outside(self):
+        # -2 - sqrt(10) < 0, although its negation 2 + sqrt(10) (norm -6)
+        # is in the window of norm 6
+        alpha = QuadInt(-2, -1, 10)
+        assert in_window(-alpha, EPS10, 6)
+        assert not in_window(alpha, EPS10, 6)
+        assert in_window(QuadInt(1, 0, 10), EPS10, 1)
+        assert not in_window(QuadInt(-1, 0, 10), EPS10, 1)
+
 
 class TestUnitInverse:
     def test_both_norm_signs(self):
@@ -260,6 +269,10 @@ class TestReduceWindow:
             reduce_window(QuadInt(1, 1, 10), QuadInt(4, 1, 10))  # not a unit
         with pytest.raises(ValueError):
             reduce_window(QuadInt(1, 1, 10), QuadInt(-3, 1, 10))  # < 1
+        # a unit of Z[sqrt(10)] for an element of Z[sqrt(11)]: the float
+        # guess of the exponent is 0, so no multiplication would catch it
+        with pytest.raises(DomainError, match="sqrt\\(11\\)"):
+            reduce_window(QuadInt(1, 1, 11), fundamental_unit(10))
 
 
 class TestReduceHalf:
