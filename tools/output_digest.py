@@ -4,15 +4,21 @@ Usage, from a checkout's root:
 
     python3 tools/output_digest.py --workload solve --seed 31
 
-Builds the op list of ``perfbench/workloads.make_ops(workload, seed,
-seconds)`` and runs each argv through ``rdnorm.cli.main`` in this process,
-in list order, by the benchmark's own ``perfbench/child.run_op`` with a
-2 s deadline per op.  Prints ``<workload> <seed> <ops> <timeouts>
-<sha256>``, the hash taken over argv, stdout, stderr (its last 2000
-characters, as child.py keeps them), status and exit code of every op.
-Two checkouts whose lines match print the same bytes for every op;
-``--root`` runs another checkout's ``src`` without copying this script
-there.
+Builds the op list of ``perfbench/workloads.make_ops(workload, seed, 20)``,
+20 s being ``perfbench/run.py``'s default run length, and runs each argv
+through ``rdnorm.cli.main`` in this process, in list order, by the
+benchmark's own ``perfbench/child.run_op`` with a 2 s deadline per op.
+Prints ``<workload> <seed> <ops> <timeouts> <sha256>``, the hash taken over
+argv, stdout, stderr (its last 2000 characters, as child.py keeps them),
+status and exit code of every op.  Two checkouts whose lines match print
+the same bytes for every op; ``--root`` runs another checkout's ``src``
+without copying this script there.
+
+An op's status depends on the machine's speed as well as on the code: an
+op that ends near the 2 s deadline on one run may time out on a loaded
+one.  Two lines whose timeout counts differ therefore show a timing
+difference, not an output difference; run both checkouts again, one after
+the other, on a quiet machine.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEADLINE_S = 2.0
+RUN_SECONDS = 20  # perfbench/run.py's default --seconds, which sizes the op list
 
 
 def main() -> int:
@@ -33,8 +40,6 @@ def main() -> int:
     parser.add_argument("--workload", choices=("sweep", "solve", "units"),
                         required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20,
-                        help="sizes the op list as perfbench/run.py does")
     parser.add_argument("--root", default=HERE,
                         help="checkout whose src/rdnorm runs the ops")
     args = parser.parse_args()
@@ -48,7 +53,7 @@ def main() -> int:
 
     signal.signal(signal.SIGALRM, _on_alarm)
     digest = hashlib.sha256()
-    ops = make_ops(args.workload, args.seed, args.seconds)
+    ops = make_ops(args.workload, args.seed, RUN_SECONDS)
     timeouts = 0
     for op in ops:
         r = run_op(rdnorm.cli, op["argv"], DEADLINE_S)
