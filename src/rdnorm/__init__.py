@@ -1,7 +1,7 @@
 """Exact norm-form solving and unit reduction in real quadratic orders Z[sqrt(m)]."""
 
 from .pell import CFExpansion, cf_sqrt, fundamental_unit, is_unit, rd_unit
-from .qint import DomainError, PerfectSquareError, QuadInt, cmp_real, is_square, sign_real
+from .qint import DomainError, PerfectSquareError, QuadInt, is_square, sign_real
 from .rdtheory import (
     Counterexample,
     NormClassifier,
@@ -50,7 +50,6 @@ __all__ = [
     "canonical_rep",
     "cf_sqrt",
     "class_number_witness",
-    "cmp_real",
     "coeff_bounds",
     "fundamental_unit",
     "is_prime",

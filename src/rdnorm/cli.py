@@ -6,12 +6,14 @@ stderr.  Exit codes: 0 success, 1 verification found exceptions, 2 usage
 or domain error (DomainError); any other exception is a bug and propagates
 with its traceback.
 
-Each cmd_* handler returns data: (exit code, JSON result, human lines),
-the lines as a zero-argument function so that they are formatted only when
-printed.  main alone writes stdout and the error message; the one other
-write is verify's notice on stderr when a sweep starts below its rule's
-first t, printed on every such call.  main keeps no state between calls,
-so it may be called repeatedly in one process.
+Each cmd_* handler builds its JSON result and its human lines from the
+library's values, which carry no JSON of their own, so this module alone
+defines the output format.  It returns data: (exit code, JSON result,
+human lines), the lines as a zero-argument function so that they are
+formatted only when printed.  main alone writes stdout and the error
+message; the one other write is verify's notice on stderr when a sweep
+starts below its rule's first t, printed on every such call.  main keeps
+no state between calls, so it may be called repeatedly in one process.
 
 One table, _COMMANDS, holds each command's handler, positionals, flags,
 valued options and help line; _parse reads argv from it in one pass, as
@@ -72,7 +74,13 @@ def cmd_unit(args):
 
 def cmd_solve(args):
     sols = solve_norm(args.m, args.n, primitive_only=args.primitive)
-    return EXIT_OK, sols.to_json(), lambda: [
+    result = {
+        "m": str(args.m),
+        "n": str(args.n),
+        "reps": [{"a": str(r.a), "b": str(r.b)} for r in sols.reps],
+        "count": len(sols),
+    }
+    return EXIT_OK, result, lambda: [
         f"|x^2 - {args.m}*y^2| = {args.n}: {len(sols)} orbit(s)",
         *(f"  a={r.a} b={r.b}   ({r})" for r in sols.reps),
     ]
@@ -98,7 +106,16 @@ def cmd_verify(args):
         print(f"warning: rule {report.prop_id} is stated for t >= "
               f"{report.stated_from}, got t_min={report.t_min}", file=sys.stderr)
     code = EXIT_OK if report.clean else EXIT_EXCEPTIONS
-    return code, report.to_json(), lambda: [
+    result = {
+        "prop": report.prop_id,
+        "t_range": [report.t_min, report.t_max],
+        "stated_from": report.stated_from,
+        "below_stated_range": report.below_stated_range,
+        "checked": report.checked_count,
+        "exceptions": [{"t": e.t, "n": str(e.n), "x": str(e.x), "y": str(e.y)}
+                       for e in report.exceptions],
+    }
+    return code, result, lambda: [
         f"rule {report.prop_id}, t in [{report.t_min}, {report.t_max}]: "
         f"checked {report.checked_count} cases, "
         f"{len(report.exceptions)} exception(s)",
@@ -109,7 +126,15 @@ def cmd_verify(args):
 
 def cmd_witness(args):
     w = class_number_witness(args.l, args.q)
-    return EXIT_OK, w.to_json(), lambda: [
+    result = {
+        "l": w.l,
+        "q": str(w.q),
+        "t": str(w.t),
+        "m": str(w.m),
+        "checks": dict(w.checks),
+        "valid": w.valid,
+    }
+    return EXIT_OK, result, lambda: [
         f"t = {w.t}, m = {w.m}",
         *(f"  {name}: {'ok' if ok else 'FAILED'}" for name, ok in w.checks.items()),
         f"certificate {'valid' if w.valid else 'INVALID'}: class number of "

@@ -241,26 +241,11 @@ class QuadInt(Record):
             raise TypeError(f"cannot order QuadInt against {type(other)!r}")
         return (self - o).sign_real()
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """JSON object with decimal-string coefficients."""
-        return {"a": str(self.a), "b": str(self.b), "m": str(self.m)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadInt":
-        return cls(int(obj["a"]), int(obj["b"]), int(obj["m"]))
-
     def __str__(self) -> str:
         return f"{self.a} {'+' if self.b >= 0 else '-'} {abs(self.b)}*sqrt({self.m})"
 
 
 _set_a, _set_b, _set_m = QuadInt._setters
-
-
-def cmp_real(x: QuadInt, y: QuadInt | int) -> int:
-    """-1, 0 or +1 according to the real-embedding order of x and y."""
-    return x._cmp(y)
 
 
 def sign_real(x: QuadInt) -> int:

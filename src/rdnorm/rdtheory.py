@@ -159,19 +159,6 @@ class VerificationReport(Record):
         """True when the sweep starts below the rule's first t."""
         return self.t_min < self.stated_from
 
-    def to_json(self) -> dict:
-        return {
-            "prop": self.prop_id,
-            "t_range": [self.t_min, self.t_max],
-            "stated_from": self.stated_from,
-            "below_stated_range": self.below_stated_range,
-            "checked": self.checked_count,
-            "exceptions": [
-                {"t": e.t, "n": str(e.n), "x": str(e.x), "y": str(e.y)}
-                for e in self.exceptions
-            ],
-        }
-
 
 def _associate(x: QuadInt, y: QuadInt) -> bool:
     """True iff the nonzero x and y are associates: x = u*y, u a unit.
@@ -296,16 +283,6 @@ class Witness(Record):
     @property
     def valid(self) -> bool:
         return all(self.checks.values())
-
-    def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "q": str(self.q),
-            "t": str(self.t),
-            "m": str(self.m),
-            "checks": dict(self.checks),
-            "valid": self.valid,
-        }
 
 
 def class_number_witness(l: int, q: int) -> Witness:

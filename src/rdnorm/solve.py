@@ -184,14 +184,6 @@ class SolutionSet(Record):
     def __len__(self) -> int:
         return len(self.reps)
 
-    def to_json(self) -> dict:
-        return {
-            "m": str(self.m),
-            "n": str(self.n),
-            "reps": [{"a": str(r.a), "b": str(r.b)} for r in self.reps],
-            "count": len(self.reps),
-        }
-
 
 def solve_norm(
     m: int,

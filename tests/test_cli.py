@@ -227,6 +227,137 @@ class TestWitness:
         assert code == EXIT_USAGE and doc["ok"] is False and "error:" in err
 
 
+# Every byte each command prints, with and without --json, and its exit
+# code: the key order of each JSON result and the human lines are part of
+# the output format.
+PINNED_OUTPUT = {
+    "unit 146": (EXIT_OK, """\
+m=146: fundamental unit 145 + 12*sqrt(146)
+norm = 1, continued-fraction period length 2
+""", """\
+{
+  "command": "unit",
+  "ok": true,
+  "result": {
+    "m": "146",
+    "a": "145",
+    "b": "12",
+    "norm": 1,
+    "cf_period_length": 2
+  }
+}
+"""),
+    "solve 10 6": (EXIT_OK, """\
+|x^2 - 10*y^2| = 6: 2 orbit(s)
+  a=2 b=1   (2 + 1*sqrt(10))
+  a=-2 b=1   (-2 + 1*sqrt(10))
+""", """\
+{
+  "command": "solve",
+  "ok": true,
+  "result": {
+    "m": "10",
+    "n": "6",
+    "reps": [
+      {
+        "a": "2",
+        "b": "1"
+      },
+      {
+        "a": "-2",
+        "b": "1"
+      }
+    ],
+    "count": 2
+  }
+}
+"""),
+    "reduce 10 4 -1": (EXIT_OK, """\
+canonical associate of 4 - 1*sqrt(10): 2 + 1*sqrt(10) (unit exponent j=1, |norm|=6)
+""", """\
+{
+  "command": "reduce",
+  "ok": true,
+  "result": {
+    "m": "10",
+    "j": 1,
+    "alpha": {
+      "a": "2",
+      "b": "1"
+    },
+    "n": "6"
+  }
+}
+"""),
+    "verify 2.4 --t-min 3 --t-max 4": (EXIT_EXCEPTIONS, """\
+rule 2.4, t in [3, 4]: checked 32 cases, 2 exception(s)
+  t=3 n=10: witness (x, y) = (0, 1)
+  t=4 n=17: witness (x, y) = (0, 1)
+""", """\
+{
+  "command": "verify",
+  "ok": true,
+  "result": {
+    "prop": "2.4",
+    "t_range": [
+      3,
+      4
+    ],
+    "stated_from": 2,
+    "below_stated_range": false,
+    "checked": 32,
+    "exceptions": [
+      {
+        "t": 3,
+        "n": "10",
+        "x": "0",
+        "y": "1"
+      },
+      {
+        "t": 4,
+        "n": "17",
+        "x": "0",
+        "y": "1"
+      }
+    ]
+  }
+}
+"""),
+    "witness 2 3": (EXIT_OK, """\
+t = 12, m = 145
+  q_prime: ok
+  l_greater_1: ok
+  q_splits: ok
+  4q_below_2t: ok
+  4q_nonsquare: ok
+  norm_4q_unsolvable: ok
+  norm_q_unsolvable: ok
+certificate valid: class number of Z[(1+sqrt(145))/2] exceeds 1 (that of Q(sqrt(m)) when m is squarefree)
+""", """\
+{
+  "command": "witness",
+  "ok": true,
+  "result": {
+    "l": 2,
+    "q": "3",
+    "t": "12",
+    "m": "145",
+    "checks": {
+      "q_prime": true,
+      "l_greater_1": true,
+      "q_splits": true,
+      "4q_below_2t": true,
+      "4q_nonsquare": true,
+      "norm_4q_unsolvable": true,
+      "norm_q_unsolvable": true
+    },
+    "valid": true
+  }
+}
+"""),
+}
+
+
 class TestInvocation:
     def test_console_entry_point(self):
         # the child must import the same rdnorm as this suite, installed or not
@@ -267,13 +398,13 @@ class TestInvocation:
         with pytest.raises(ValueError, match="internal failure"):
             main(["solve", "10", "6"])
 
-    @pytest.mark.parametrize("argv", [
-        ["unit", "146"],
-        ["solve", "10", "6"],
-        ["reduce", "10", "4", "-1"],
-        ["verify", "2.4", "--t-min", "3", "--t-max", "4"],
-        ["witness", "2", "3"],
-    ], ids=lambda argv: argv[0])
+    def test_output_is_pinned(self, capsys):
+        for command, (code, human, doc) in PINNED_OUTPUT.items():
+            assert run(capsys, *command.split()) == (code, human, ""), command
+            assert run(capsys, *command.split(), "--json") == (code, doc, ""), command
+
+    @pytest.mark.parametrize("argv", [command.split() for command in PINNED_OUTPUT],
+                             ids=lambda argv: argv[0])
     def test_json_formats_no_human_text(self, capsys, monkeypatch, argv):
         expected = run_json(capsys, *argv)
 

@@ -296,15 +296,6 @@ class TestVerifyProp:
         assert verify_prop(prop_id, 12, 16) == want
         assert built == [12, 13, 14, 15, 16]
 
-    def test_report_json_shape(self):
-        doc = verify_prop("2.4", 3, 3).to_json()
-        assert doc["prop"] == "2.4"
-        assert doc["t_range"] == [3, 3]
-        assert doc["stated_from"] == 2 and doc["below_stated_range"] is False
-        assert doc["exceptions"] == [
-            {"t": 3, "n": "10", "x": "0", "y": "1"}
-        ]
-
 
 class TestAssociate:
     """_associate, rule 2.6's orbit test, against equality of canonical
@@ -422,17 +413,6 @@ class TestClassNumberWitness:
         assert calls == [12, 3]
         assert not w.checks["norm_4q_unsolvable"]
         assert w.checks["norm_q_unsolvable"]
-
-    def test_json_shape(self):
-        doc = class_number_witness(3, 5).to_json()
-        assert doc["l"] == 3
-        assert doc["q"] == "5"
-        assert doc["m"] == str(30 * 30 + 1)
-        assert doc["valid"] is True
-        assert set(doc["checks"]) == {
-            "q_prime", "l_greater_1", "q_splits", "4q_below_2t",
-            "4q_nonsquare", "norm_4q_unsolvable", "norm_q_unsolvable",
-        }
 
 
 def test_prop_ids_frozen():

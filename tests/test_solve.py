@@ -379,13 +379,3 @@ class TestOrbitsDifferential:
         eps = fundamental_unit(146)
         assert QuadInt(-12, 1, 146) in solve_norm(146, 2, eps=eps).reps
         assert coeff_bounds(146, 2, eps)[1] == 1
-
-
-class TestSolutionSetJSON:
-    def test_schema(self):
-        doc = solve_norm(10, 6).to_json()
-        assert doc["m"] == "10" and doc["n"] == "6"
-        assert doc["count"] == 2 == len(doc["reps"])
-        for rep in doc["reps"]:
-            assert set(rep) == {"a", "b"}
-            int(rep["a"]), int(rep["b"])  # decimal strings

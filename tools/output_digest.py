@@ -12,7 +12,10 @@ Prints ``<workload> <seed> <ops> <timeouts> <sha256>``, the hash taken over
 argv, stdout, stderr (its last 2000 characters, as child.py keeps them),
 status and exit code of every op.  Two checkouts whose lines match print
 the same bytes for every op; ``--root`` runs another checkout's ``src``
-without copying this script there.
+without copying this script there.  When ``rdnorm`` does not come from
+``<root>/src/rdnorm`` (a mistyped ``--root`` falls back to any ``rdnorm``
+on the path, such as ``PYTHONPATH=src``'s), it prints one error line on
+stderr and exits 1 without a digest.
 
 An op's status depends on the machine's speed as well as on the code: an
 op that ends near the 2 s deadline on one run may time out on a loaded
@@ -44,12 +47,19 @@ def main() -> int:
                         help="checkout whose src/rdnorm runs the ops")
     args = parser.parse_args()
 
+    root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(HERE, "perfbench"))
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    sys.path.insert(0, os.path.join(root, "src"))
     from child import _on_alarm, run_op
     from workloads import make_ops
 
     import rdnorm.cli
+
+    src = os.path.join(root, "src", "rdnorm")
+    if os.path.dirname(os.path.abspath(rdnorm.cli.__file__)) != src:
+        print(f"output_digest: rdnorm imported from {rdnorm.cli.__file__}, "
+              f"not {src}", file=sys.stderr)
+        return 1
 
     signal.signal(signal.SIGALRM, _on_alarm)
     digest = hashlib.sha256()
