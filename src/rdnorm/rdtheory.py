@@ -186,30 +186,28 @@ def _verify_single_t(cls: NormClassifier) -> list[Counterexample]:
                 for n, reps in table.items()]
 
     # 2.6: every orbit must be an integer times a unit or associate to a
-    # listed generator (norms force n into the listed set for the latter).
-    # eps is fundamental, so k*eta (k > 0) lies in the orbit of k, whose
-    # window [k/sqrt(eps), k*sqrt(eps)) holds k: its canonical rep is k.  A
-    # rep with b = 0 is an integer, so b == 0 tests the first clause; the
-    # second is tested on the rep as it stands, so no generator is reduced.
-    # Associates have equal |norm|, so a rep of norm n meets only the
-    # generators of norm n.
+    # listed generator.  The orbits of the first clause are those of the
+    # integers, whose reps the table leaves out, so each rep left is tested,
+    # as it stands, against the generators of its |norm|.
     table = _norm_table(m, cls.threshold, eps)
     gens: dict[int, list[QuadInt]] = {}
     for g in prop26_generators(t):
         gens.setdefault(abs(g.norm()), []).append(g)
     return [Counterexample(t, n, rep.a, rep.b)
             for n, reps in table.items() for rep in reps
-            if rep.b != 0 and not any(_associate(rep, g) for g in gens.get(n, ()))]
+            if not any(_associate(rep, g) for g in gens.get(n, ()))]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
     """Exhaustively test one exclusion rule for every t in [t_min, t_max].
 
-    The t values run in order in this process.  For each t the solutions of
-    every n < threshold are enumerated once, in one table, and every
-    solution not covered by the rule is reported with a witness.  t below
-    the rule's first t is swept too, and the report's below_stated_range
-    says so.
+    The t values run in order in this process.  For each t the solution
+    orbits of every n < threshold, bar the integers' (every rule allows
+    them), are enumerated once, in one table walked from b = 1, and every
+    solution not covered by the rule is reported with a witness.  A t costs
+    a constant for rules 2.3 and 2.4 (B = 1) and about sqrt(2t) rows for
+    2.5 and 2.6.  t below the rule's first t is swept too, and the report's
+    below_stated_range says so.
     """
     rule = _rule(prop_id)
     if t_min < 1 or prop_radicand(prop_id, t_min) < 2:

@@ -5,9 +5,9 @@ window representative a + b*sqrt(m) with |b| <= B, so it suffices to
 square-test m*b**2 +- n for b in [0, B] and keep the hits that lie in the
 window.  For large B the square-testing is done with a residue sieve and
 numpy; the pure-Python path is the reference.
-A sweep over every n below some N instead walks, in one pass, each b up to
-the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and buckets the
-hits by n (_norm_table).
+A sweep over every n below some N instead walks, in one pass, each b from 1
+up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
+buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
 """
 
 from __future__ import annotations
@@ -157,22 +157,24 @@ def _orbits(m: int, n: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
 def _norm_table(
     m: int, N: int, eps: QuadInt, keep: Callable[[int], bool] = lambda n: True
 ) -> dict[int, tuple[QuadInt, ...]]:
-    """Orbit representatives of every norm 0 < n < N from one pass.
+    """Orbit reps with b != 0 of every norm 0 < n < N, from one pass.
 
-    Walks each b up to the bound for N - 1 and the few a with
+    Walks each b from 1 up to the bound for N - 1 and the few a with
     |a**2 - m*b**2| < N; hits past the bound of their own n are never in
     the window.  Maps n, ascending, to exactly the reps of
-    solve_norm(m, n, eps=eps); an n without solutions, or for which keep(n)
-    is false, has no key, and its hits are never tested.
+    solve_norm(m, n, eps=eps) with b != 0; an n without them has no key,
+    nor has one with keep(n) false, whose hits are never tested.  Row b = 0
+    holds only the integer reps of the squares, which no sweep reads.
     """
     hits: dict[int, list[tuple[int, int]]] = {}
-    for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
+    for b in range(1, coeff_bounds(m, N - 1, eps)[1] + 1):
         v = m * b * b
         for a in range(isqrt(max(v - N, 0)), isqrt(v + N - 1) + 1):
             n = abs(a * a - v)
             if 0 < n < N:
                 hits.setdefault(n, []).append((a, b))
-    return {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
+    table = {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
+    return {n: reps for n, reps in table.items() if reps}
 
 
 class SolutionSet(Record):

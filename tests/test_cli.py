@@ -201,6 +201,28 @@ class TestVerify:
         assert first == run(capsys, *argv)
         assert "t >= 12" in first[2]
 
+    # checked sums threshold - 1 over the range: 2t - 1 for 2.3, 4t + 2 for 2.4
+    @pytest.mark.parametrize("prop, t_min, t_max, checked", [
+        ("2.3", 10**20, 10**20 + 100, 20200000000000000009999),
+        ("2.4", 10**20, 10**20 + 100, 40400000000000000020402),
+        ("2.3", 10**40 + 7, 10**40 + 7, 2 * 10**40 + 13),
+        ("2.4", 10**40 + 7, 10**40 + 7, 4 * 10**40 + 30),
+    ], ids=["2.3-1e20", "2.4-1e20", "2.3-1e40", "2.4-1e40"])
+    def test_huge_t_finishes(self, prop, t_min, t_max, checked):
+        # in a child with a deadline, so a sweep that hangs fails this test
+        # instead of the suite
+        src = os.path.dirname(os.path.dirname(rdnorm.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdnorm", "verify", prop, "--t-min", str(t_min),
+             "--t-max", str(t_max), "--json"],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert proc.returncode == EXIT_OK
+        result = json.loads(proc.stdout)["result"]
+        assert result["exceptions"] == [] and result["checked"] == checked
+
 
 class TestWitness:
     def test_valid(self, capsys):

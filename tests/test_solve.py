@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from math import gcd, isqrt
 
 import numpy as np
@@ -18,6 +20,7 @@ from rdnorm import (
     rd_unit,
     solve_norm,
 )
+from rdnorm.rdtheory import PROP_IDS
 from rdnorm.solve import (
     _NUMPY_CUTOFF,
     _norm_table,
@@ -253,25 +256,69 @@ class TestScanPaths:
             assert sorted(_scan_np(m, n, b_max)) == sorted(hits)
 
 
+def norm_table_from_b0(m, N, eps, keep=lambda n: True):
+    """Reference: the sweep table walked from b = 0, row b = 0 included, so
+    that it maps n to every rep of solve_norm(m, n, eps=eps)."""
+    hits = {}
+    for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
+        v = m * b * b
+        for a in range(isqrt(max(v - N, 0)), isqrt(v + N - 1) + 1):
+            n = abs(a * a - v)
+            if 0 < n < N:
+                hits.setdefault(n, []).append((a, b))
+    return {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
+
+
+def table_pairs(m, N, eps, keep):
+    """The number of (a, b) pairs _norm_table(m, N, eps, keep) visits,
+    counted as the executions of the one line that takes a pair's norm."""
+    code = _norm_table.__code__
+    lines = inspect.getsourcelines(_norm_table)
+    pair_line = lines[1] + next(i for i, line in enumerate(lines[0])
+                                if "abs(a * a - v)" in line)
+    pairs = 0
+
+    def local(frame, event, arg):
+        nonlocal pairs
+        if event == "line" and frame.f_lineno == pair_line:
+            pairs += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        _norm_table(m, N, eps, keep)
+    finally:
+        sys.settrace(previous)
+    return pairs
+
+
 class TestNormTable:
-    """_norm_table must equal one solve_norm per n < N, order included."""
+    """_norm_table must equal one solve_norm per n < N, its reps with b = 0
+    left out, order included."""
 
     @staticmethod
     def assert_matches_per_n(m, N, eps):
+        """Returns the number of squares n the table has a key for."""
         table = _norm_table(m, N, eps)
         assert list(table) == sorted(table)
         assert all(0 < n < N and reps for n, reps in table.items())
         for n in range(1, N):
-            # a missing key means n has no solutions
-            assert table.get(n, ()) == solve_norm(m, n, eps=eps).reps, (m, N, n)
+            # a missing key means n has no solutions with b != 0
+            want = tuple(r for r in solve_norm(m, n, eps=eps).reps if r.b)
+            assert table.get(n, ()) == want, (m, N, n)
+        return sum(is_square(n) for n in table)
 
     def test_rule_radicands_at_rule_thresholds(self):
+        squares = 0
         for prop_id, ts in (("2.3", range(2, 60)), ("2.4", range(2, 60)),
                             ("2.5", range(12, 70)), ("2.6", range(12, 70))):
             for t in ts:
                 m = prop_radicand(prop_id, t)
                 N = allowed_set(prop_id, t).threshold
-                self.assert_matches_per_n(m, N, fundamental_unit(m))
+                squares += self.assert_matches_per_n(m, N, fundamental_unit(m))
+        # the filtered comparison still reaches squares with b != 0 reps
+        assert squares == 33
 
     def test_random_radicands_both_unit_norms(self):
         rng = random.Random(5)
@@ -297,6 +344,28 @@ class TestNormTable:
                 kept = _norm_table(m, cls.threshold, eps, keep)
                 assert kept == {n: reps for n, reps in full.items() if keep(n)}
                 assert list(kept) == sorted(kept)
+
+    @pytest.mark.parametrize("prop_id", PROP_IDS)
+    def test_matches_walk_from_b0_at_large_t(self, prop_id):
+        for t in (10**4, 10**6, 10**8):
+            m = prop_radicand(prop_id, t)
+            cls = allowed_set(prop_id, t)
+            eps = fundamental_unit(m)
+            for keep in (lambda n: True, lambda n: not cls.allows(n)):
+                ref = norm_table_from_b0(m, cls.threshold, eps, keep)
+                want = {n: tuple(r for r in reps if r.b) for n, reps in ref.items()}
+                assert _norm_table(m, cls.threshold, eps, keep) == \
+                    {n: reps for n, reps in want.items() if reps}, t
+
+    @pytest.mark.parametrize("prop_id", ["2.3", "2.4"])
+    def test_pairs_per_t_do_not_grow_with_t(self, prop_id):
+        counts = set()
+        for t in (10**2, 10**4, 10**6, 10**8):
+            m = prop_radicand(prop_id, t)
+            cls = allowed_set(prop_id, t)
+            keep = lambda n: not cls.allows(n)
+            counts.add(table_pairs(m, cls.threshold, fundamental_unit(m), keep))
+        assert len(counts) == 1, counts
 
 
 def reduce_then_dedup(m, eps, hits):
