@@ -1,7 +1,7 @@
 """Exact norm-form solving and unit reduction in real quadratic orders Z[sqrt(m)]."""
 
 from .pell import CFExpansion, cf_sqrt, fundamental_unit, is_unit, rd_unit
-from .qint import DomainError, PerfectSquareError, QuadInt, is_square, sign_real
+from .qint import DomainError, PerfectSquareError, QuadInt, is_square
 from .rdtheory import (
     Counterexample,
     NormClassifier,
@@ -24,8 +24,6 @@ from .reduction import (
 )
 from .solve import (
     SolutionSet,
-    brute_oracle,
-    canonical_rep,
     coeff_bounds,
     is_representable,
     solve_norm,
@@ -46,8 +44,6 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "allowed_set",
-    "brute_oracle",
-    "canonical_rep",
     "cf_sqrt",
     "class_number_witness",
     "coeff_bounds",
@@ -62,7 +58,6 @@ __all__ = [
     "rd_unit",
     "reduce_half",
     "reduce_window",
-    "sign_real",
     "solve_norm",
     "unit_inverse",
     "verify_prop",

@@ -4,7 +4,8 @@ Subcommands: unit, solve, reduce, verify, witness.  Human-readable output
 by default, one JSON document on stdout with --json; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found exceptions, 2 usage
 or domain error (DomainError); any other exception is a bug and propagates
-with its traceback.
+with its traceback.  A reader that closes stdout early (`| head`) ends the
+command quietly, with the exit code it computed.
 
 Each cmd_* handler builds its JSON result and its human lines from the
 library's values, which carry no JSON of their own, so this module alone
@@ -351,9 +352,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, result, human = _COMMANDS[args.command][0](args)
         if args.json:
-            print(_dumps({"command": args.command, "ok": True, "result": result}))
+            text = _dumps({"command": args.command, "ok": True, "result": result})
         else:
-            print("\n".join(human()))
+            text = "\n".join(human())
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early (`| head`): not a failure.
+            # Point the fd at devnull so the interpreter's last flush of
+            # what is still buffered stays silent.
+            import os
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except DomainError as exc:
         if args.json:

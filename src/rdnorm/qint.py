@@ -246,7 +246,3 @@ class QuadInt(Record):
 
 
 _set_a, _set_b, _set_m = QuadInt._setters
-
-
-def sign_real(x: QuadInt) -> int:
-    return x.sign_real()

@@ -67,22 +67,11 @@ def _below_upper(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
 
 
 def _in_window(a: int, b: int, m: int, e: int, f: int, n: int) -> bool:
-    """in_window for alpha = a + b*sqrt(m) > 0 and eps = e + f*sqrt(m), on
-    plain ints: the two half-tests on alpha**2."""
+    """sqrt(n/eps) <= alpha < sqrt(n*eps) for alpha = a + b*sqrt(m) > 0 and
+    eps = e + f*sqrt(m), decided on the squares by the two half-tests on
+    alpha**2; no QuadInt is built."""
     sa, sb = _square(a, b, m)
     return _above_lower(sa, sb, m, e, f, n) and _below_upper(sa, sb, m, e, f, n)
-
-
-def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
-    """Exact test for sqrt(n/eps) <= alpha < sqrt(n*eps); False for alpha <= 0.
-
-    Decided on squares, alpha**2*eps >= n and alpha**2 < n*eps, by the
-    integer sign of each difference; no QuadInt is built.
-    """
-    if alpha.m != eps.m:
-        raise DomainError(f"mismatched radicands: {alpha.m} vs {eps.m}")
-    return (sign_ab(alpha.a, alpha.b, alpha.m) > 0
-            and _in_window(alpha.a, alpha.b, eps.m, eps.a, eps.b, n))
 
 
 def _log_abs_sum(x: QuadInt) -> float:

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, Record, _sgn, sign_ab
-from .reduction import _check_reducer, _in_window, reduce_window
+from .reduction import _check_reducer, _in_window
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
 # process (2-core Xeon VM, Python 3.11.7, numpy 2.4.6; median of 30 random
@@ -127,11 +127,6 @@ def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
 # -- solution sets -----------------------------------------------------------
 
 
-def canonical_rep(alpha: QuadInt, eps: QuadInt) -> QuadInt:
-    """Deterministic representative of the orbit {+-alpha * eps**j}."""
-    return reduce_window(alpha, eps).alpha
-
-
 def _sort_key(x: QuadInt):
     return (abs(x.b), abs(x.a), -_sgn(x.b), -_sgn(x.a))
 
@@ -213,20 +208,3 @@ def solve_norm(
 def is_representable(m: int, n: int, eps: QuadInt | None = None) -> bool:
     """True iff |x**2 - m*y**2| = n has an integer solution."""
     return len(solve_norm(m, n, eps=eps)) > 0
-
-
-def brute_oracle(m: int, n: int, x_max: int, y_max: int) -> list[tuple[int, int]]:
-    """All (x, y), |x| <= x_max, 0 <= y <= y_max, with |x**2 - m*y**2| = n.
-
-    Plain double loop with no unit-group logic; the independent reference
-    the solver is checked against.
-    """
-    if x_max < 0 or y_max < 0:
-        raise DomainError("bounds must be nonnegative")
-    out = []
-    for y in range(y_max + 1):
-        myy = m * y * y
-        for x in range(-x_max, x_max + 1):
-            if abs(x * x - myy) == n:
-                out.append((x, y))
-    return out

@@ -12,8 +12,6 @@ import pytest
 
 from rdnorm import (
     QuadInt,
-    brute_oracle,
-    canonical_rep,
     class_number_witness,
     coeff_bounds,
     fundamental_unit,
@@ -23,12 +21,13 @@ from rdnorm import (
     rd_classify,
     rd_unit,
     reduce_window,
-    sign_real,
     solve_norm,
     unit_inverse,
 )
 from rdnorm.cli import main
 from rdnorm.solve import _scan
+
+from oracles import brute_oracle, canonical_rep, sign_real
 
 SEED = 20260826
 

@@ -30,6 +30,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def child_env():
+    """os.environ with this suite's rdnorm first on PYTHONPATH: a child must
+    import the same rdnorm as this suite, installed or not."""
+    src = os.path.dirname(os.path.dirname(rdnorm.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 class TestUnit:
     def test_human(self, capsys):
         code, out, err = run(capsys, "unit", "10")
@@ -211,13 +219,10 @@ class TestVerify:
     def test_huge_t_finishes(self, prop, t_min, t_max, checked):
         # in a child with a deadline, so a sweep that hangs fails this test
         # instead of the suite
-        src = os.path.dirname(os.path.dirname(rdnorm.__file__))
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "rdnorm", "verify", prop, "--t-min", str(t_min),
              "--t-max", str(t_max), "--json"],
-            capture_output=True, text=True, timeout=5, env=env,
+            capture_output=True, text=True, timeout=5, env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         result = json.loads(proc.stdout)["result"]
@@ -382,13 +387,9 @@ certificate valid: class number of Z[(1+sqrt(145))/2] exceeds 1 (that of Q(sqrt(
 
 class TestInvocation:
     def test_console_entry_point(self):
-        # the child must import the same rdnorm as this suite, installed or not
-        src = os.path.dirname(os.path.dirname(rdnorm.__file__))
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "rdnorm", "unit", "10", "--json"],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -406,6 +407,21 @@ class TestInvocation:
         assert "rdnorm.cli" in loaded
         heavy = {"dataclasses", "inspect", "typing", "re", "json", "enum", "argparse"}
         assert loaded & heavy == set()
+
+    def test_closed_stdout_ends_quietly(self):
+        # `| head` closes stdout early.  Rule 2.6 over [12, 300] finds
+        # exceptions and prints about 440 kB, far more than a pipe holds, so
+        # the print meets the closed pipe and the exit code is verify's own.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rdnorm", "verify", "2.6", "--t-min", "12",
+             "--t-max", "300", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        assert proc.stdout.read(16).startswith(b"{")
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert b"Traceback" not in stderr
+        assert proc.returncode == EXIT_EXCEPTIONS
 
     def test_json_is_single_document(self, capsys):
         _, out, _ = run(capsys, "solve", "10", "6", "--json")

@@ -10,7 +10,6 @@ from rdnorm import (
     QuadInt,
     VerificationReport,
     allowed_set,
-    canonical_rep,
     class_number_witness,
     fundamental_unit,
     is_prime,
@@ -25,6 +24,8 @@ from rdnorm import rdtheory
 from rdnorm.rdtheory import PROP_IDS, _associate
 from rdnorm.solve import _norm_table
 from rdnorm.qint import is_square
+
+from oracles import canonical_rep
 
 
 class TestRDClassify:
@@ -276,9 +277,7 @@ class TestVerifyProp:
         def refuse(*args):
             raise AssertionError("reduce_window called")
 
-        # solve holds its own name for reduce_window (canonical_rep's)
         monkeypatch.setattr(rdnorm.reduction, "reduce_window", refuse)
-        monkeypatch.setattr(rdnorm.solve, "reduce_window", refuse)
         assert verify_prop("2.6", 12, 40) == want
         assert class_number_witness(2, 3).valid
 

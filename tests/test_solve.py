@@ -10,8 +10,6 @@ from rdnorm import (
     DomainError,
     QuadInt,
     allowed_set,
-    brute_oracle,
-    canonical_rep,
     coeff_bounds,
     fundamental_unit,
     is_representable,
@@ -29,6 +27,8 @@ from rdnorm.solve import (
     _scan_py,
     _sort_key,
 )
+
+from oracles import brute_oracle, canonical_rep
 
 
 def collapse(pairs, m, eps):
