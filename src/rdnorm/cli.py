@@ -89,6 +89,8 @@ def cmd_solve(args):
 
 def cmd_reduce(args):
     xi = QuadInt(args.a, args.b, args.m)
+    if xi.is_zero():  # before fundamental_unit, which may take long for big m
+        raise DomainError("cannot reduce zero")
     res = reduce_window(xi, fundamental_unit(args.m))
     result = {
         "m": str(args.m),

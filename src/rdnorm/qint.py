@@ -52,6 +52,29 @@ def sign_ab(a: int, b: int, m: int) -> int:
     return 1 if (a * a > m * b * b) == (a > 0) else -1
 
 
+def square_ab(a: int, b: int, m: int) -> tuple[int, int]:
+    """Coefficients of (a + b*sqrt(m))**2."""
+    return a * a + m * (b * b), 2 * a * b
+
+
+def pow_ab(a: int, b: int, m: int, k: int) -> tuple[int, int]:
+    """Coefficients of (a + b*sqrt(m))**k for k >= 0, on plain ints.
+
+    Left-to-right binary powering: one squaring per bit below the top one,
+    and after it a multiply by a + b*sqrt(m) if the bit is set, so nothing
+    is squared past the last bit and the growing power is only ever
+    multiplied by the base.
+    """
+    if not k:
+        return 1, 0
+    x, y = a, b
+    for bit in bin(k)[3:]:
+        x, y = square_ab(x, y, m)
+        if bit == "1":
+            x, y = x * a + m * (y * b), x * b + y * a
+    return x, y
+
+
 class Record:
     """Base of rdnorm's immutable value types.
 
@@ -192,14 +215,7 @@ class QuadInt(Record):
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = QuadInt(1, 0, self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return QuadInt(*pow_ab(self.a, self.b, self.m, k), self.m)
 
     # -- field-theoretic maps ---------------------------------------------
 
@@ -209,7 +225,7 @@ class QuadInt(Record):
 
     def norm(self) -> int:
         """a**2 - m * b**2, the product with the conjugate."""
-        return self.a * self.a - self.m * self.b * self.b
+        return self.a * self.a - self.m * (self.b * self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -2,8 +2,13 @@
 
 Every nonzero xi has a unique associate +-xi*eps**j that is positive and
 lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The exponent j
-is guessed from floating-point logarithms and applied by binary powering;
-exact steps by eps then fix it up.  The window tests are carried out on
+is guessed from floating-point logarithms.  eps**j is computed exactly,
+but the product alpha*eps**j with alpha = |xi|, which is small once j is
+right, is read from the low bits of the coefficients and accepted only if
+dividing it by eps**j gives back alpha exactly, sign included; so the
+reduction costs one power of the unit
+plus work linear in the size of xi, not a product at that size.  Exact
+steps by eps then fix it up.  The window tests are carried out on
 squared quantities so that they stay inside Z[sqrt(m)] and are decided
 exactly by integer signs: sign_ab on the coefficients of alpha**2*eps - n
 and n*eps - alpha**2.  reduce_half's half window of alpha at norm n is the
@@ -16,7 +21,7 @@ from __future__ import annotations
 from math import exp, log, log1p
 
 from .pell import is_unit
-from .qint import DomainError, QuadInt, Record, sign_ab
+from .qint import DomainError, QuadInt, Record, pow_ab, sign_ab, square_ab
 
 
 class ReductionResult(Record):
@@ -51,11 +56,6 @@ def _check_reducer(eps: QuadInt, m: int) -> None:
         raise DomainError(f"unit {eps} must exceed 1")
 
 
-def _square(a: int, b: int, m: int) -> tuple[int, int]:
-    """Coefficients of (a + b*sqrt(m))**2."""
-    return a * a + m * b * b, 2 * a * b
-
-
 def _above_lower(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
     """alpha**2 * eps >= n, for alpha**2 = sa + sb*sqrt(m), eps = e + f*sqrt(m)."""
     return sign_ab(sa * e + m * sb * f - n, sa * f + sb * e, m) >= 0
@@ -70,24 +70,25 @@ def _in_window(a: int, b: int, m: int, e: int, f: int, n: int) -> bool:
     """sqrt(n/eps) <= alpha < sqrt(n*eps) for alpha = a + b*sqrt(m) > 0 and
     eps = e + f*sqrt(m), decided on the squares by the two half-tests on
     alpha**2; no QuadInt is built."""
-    sa, sb = _square(a, b, m)
+    sa, sb = square_ab(a, b, m)
     return _above_lower(sa, sb, m, e, f, n) and _below_upper(sa, sb, m, e, f, n)
 
 
-def _log_abs_sum(x: QuadInt) -> float:
-    """log(|a| + |b|*sqrt(m)) of a nonzero x = a + b*sqrt(m), free of
+def _log_abs_sum(a: int, b: int, m: int) -> float:
+    """log(|a| + |b|*sqrt(m)) of a nonzero a + b*sqrt(m), free of
     cancellation whatever the signs of a and b."""
-    if x.b == 0:
-        return log(abs(x.a))
-    lb = log(abs(x.b)) + log(x.m) / 2
-    if x.a == 0:
+    if b == 0:
+        return log(abs(a))
+    lb = log(abs(b)) + log(m) / 2
+    if a == 0:
         return lb
-    la = log(abs(x.a))
+    la = log(abs(a))
     return max(la, lb) + log1p(exp(-abs(la - lb)))
 
 
-def _guess_exponent(alpha: QuadInt, eps: QuadInt, n: int) -> int:
-    """Float estimate of the j that puts alpha*eps**j into the window.
+def _guess_exponent(a: int, b: int, eps: QuadInt, n: int) -> int:
+    """Float estimate of the j that puts alpha*eps**j into the window, for
+    alpha = a + b*sqrt(m) > 0 of absolute norm n.
 
     The window is centred on sqrt(n) in log scale, so j is the nearest
     integer to (log(n)/2 - log(alpha)) / log(eps).  alpha > 0, so a negative
@@ -95,36 +96,85 @@ def _guess_exponent(alpha: QuadInt, eps: QuadInt, n: int) -> int:
     coefficients, and log(alpha) is taken as log(n) minus the log of the
     conjugate's absolute value, |a| + |b|*sqrt(m).
     """
-    log_alpha = _log_abs_sum(alpha)
-    if alpha.a < 0 or alpha.b < 0:
+    log_alpha = _log_abs_sum(a, b, eps.m)
+    if a < 0 or b < 0:
         log_alpha = log(n) - log_alpha
-    return round((log(n) / 2 - log_alpha) / _log_abs_sum(eps))
+    return round((log(n) / 2 - log_alpha) / _log_abs_sum(eps.a, eps.b, eps.m))
+
+
+def _small_product(a: int, b: int, e: int, f: int, m: int, s: int,
+                   k: int) -> tuple[int, int]:
+    """Coefficients (x, y) of (a + b*sqrt(m)) * E for a unit E = e + f*sqrt(m)
+    of norm s, found in time linear in the size of the factors when the
+    product is small.
+
+    x and y are taken from the low k bits of the four coefficients and
+    lifted to the symmetric range [-2**(k-1), 2**(k-1)).  They are accepted
+    only if s*(x + y*sqrt(m))*conj(E) equals a + b*sqrt(m) exactly, sign
+    included; as E*conj(E) = s = +-1, that is (x + y*sqrt(m)) / E.
+    Otherwise k doubles.  Once
+    2**(k-1) exceeds both true coefficients the lift is exact, so the loop
+    ends.
+    """
+    sa, sb = s * a, s * b
+    while True:
+        size, half = 1 << k, 1 << (k - 1)
+        mask = size - 1
+        ak, bk, ek, fk = a & mask, b & mask, e & mask, f & mask
+        x = (ak * ek + m * (bk * fk)) & mask
+        y = (ak * fk + bk * ek) & mask
+        if x >= half:
+            x -= size
+        if y >= half:
+            y -= size
+        if x * e - (m * y) * f == sa and y * e - x * f == sb:
+            return x, y
+        k *= 2
 
 
 def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     """Reduce xi to its canonical positive associate in [c, c*eps).
 
-    A float guess of the exponent is applied by binary powering, and exact
-    steps then finish the job: eps > 1 guarantees that multiplying or
+    A float guess j of the exponent is applied in one step: eps**j is
+    computed exactly, and the product alpha*eps**j, which the guess makes
+    small, is read from its low bits and checked exactly (_small_product).
+    Exact steps then finish the job: eps > 1 guarantees that multiplying or
     dividing by eps terminates, and the half-open window makes the exponent
     unique, so the result does not depend on the guess.
     """
     if xi.is_zero():
         raise DomainError("cannot reduce zero")
     _check_reducer(eps, xi.m)
-    n = abs(xi.norm())
-    alpha = abs(xi)
-    inv = unit_inverse(eps)
-    j = _guess_exponent(alpha, eps, n)
-    if j:
-        alpha = alpha * (eps**j if j >= 0 else inv**-j)
     m, e, f = eps.m, eps.a, eps.b
+    inv = unit_inverse(eps)
+    a, b = xi.a, xi.b
+    nrm = a * a - m * (b * b)
+    n = abs(nrm)
+    # the sign of xi: with mixed signs, a outweighs b*sqrt(m) exactly when
+    # the norm is positive; otherwise any negative coefficient makes xi < 0
+    if a and b and (a < 0) != (b < 0):
+        negative = (a < 0) == (nrm > 0)
+    else:
+        negative = a < 0 or b < 0
+    if negative:
+        a, b = -a, -b
+    j = _guess_exponent(a, b, eps, n)
+    if j:
+        step = eps if j > 0 else inv
+        big_e, big_f = pow_ab(step.a, step.b, m, abs(j))
+        # Within two unit steps of the window, alpha and its conjugate are
+        # below sqrt(n)*eps**2.5 in absolute value, and so are both
+        # coefficients; eps < 2**(e.bit_length() + 1).
+        k = (n.bit_length() + 5 * e.bit_length() + 6) // 2 + 1
+        # eps**j has norm norm(eps)**j
+        a, b = _small_product(a, b, big_e, big_f, m, eps.norm() ** (j & 1), k)
+    alpha = QuadInt(a, b, m)
     # too large: alpha**2 >= n*eps
-    while not _below_upper(*_square(alpha.a, alpha.b, m), m, e, f, n):
+    while not _below_upper(*square_ab(alpha.a, alpha.b, m), m, e, f, n):
         alpha = alpha * inv
         j -= 1
     # too small: alpha**2 < n/eps
-    while not _above_lower(*_square(alpha.a, alpha.b, m), m, e, f, n):
+    while not _above_lower(*square_ab(alpha.a, alpha.b, m), m, e, f, n):
         alpha = alpha * eps
         j += 1
     return ReductionResult(j, alpha, n)
@@ -157,11 +207,11 @@ def reduce_half(
     m, e, f, nn = eps.m, eps.a, eps.b, n * n
 
     # upper edge: alpha < sqrt(n*sqrt(eps))  <=>  alpha**4 < n**2 * eps
-    a4 = _square(*_square(alpha.a, alpha.b, m), m)
+    a4 = square_ab(*square_ab(alpha.a, alpha.b, m), m)
     if not _below_upper(*a4, m, e, f, nn):
         alpha = alpha * unit_inverse(eps)
         j -= 1
-        a4 = _square(*_square(alpha.a, alpha.b, m), m)
+        a4 = square_ab(*square_ab(alpha.a, alpha.b, m), m)
 
     # upper half-window: alpha >= sqrt(n/sqrt(eps))  <=>  alpha**4 * eps >= n**2
     if _above_lower(*a4, m, e, f, nn):

@@ -154,6 +154,20 @@ class TestReduce:
         code, _, _ = run(capsys, "reduce", "10", "0", "0")
         assert code == EXIT_USAGE
 
+    def test_zero_is_refused_before_the_unit(self):
+        # the period walk for this m is of order 10**9 steps, so a zero
+        # refused only after fundamental_unit hangs; a child with a
+        # deadline fails this test instead of the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdnorm", "reduce", "999999999999999989",
+             "0", "0", "--json"],
+            capture_output=True, text=True, timeout=5, env=child_env(),
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert json.loads(proc.stdout) == {
+            "command": "reduce", "ok": False,
+            "error": {"code": "domain-error", "message": "cannot reduce zero"}}
+
 
 class TestVerify:
     def test_clean_sweep_exit_0(self, capsys):

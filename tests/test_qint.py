@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +83,39 @@ class TestArithmetic:
         assert eps**0 == QuadInt(1, 0, 10)
         assert eps**3 == eps * eps * eps
 
+    # units of norm -1 (m = 2, 10, 29) and +1 (m = 3, 7, 146), and a non-unit
+    @pytest.mark.parametrize("x", [QuadInt(1, 1, 2), QuadInt(3, 1, 10),
+                                   QuadInt(70, 13, 29), QuadInt(2, 1, 3),
+                                   QuadInt(8, 3, 7), QuadInt(145, 12, 146),
+                                   QuadInt(-4, 9, 7)])
+    def test_pow_equals_repeated_multiplication(self, x):
+        power = QuadInt(1, 0, x.m)
+        for k in range(71):
+            assert x**k == power, k
+            power = power * x
+
+    def test_pow_matches_square_and_multiply(self):
+        def reference(x, k):
+            result, base = QuadInt(1, 0, x.m), x
+            while k:
+                if k & 1:
+                    result = result * base
+                base = base * base
+                k >>= 1
+            return result
+
+        rng = random.Random(28)
+        for x in (QuadInt(1, 1, 2), QuadInt(8, 3, 7), QuadInt(-5, 2, 13)):
+            for k in [rng.randrange(10**4) for _ in range(6)] + [1, 2, 2**13, 2**13 - 1]:
+                assert x**k == reference(x, k), (x, k)
+
+    def test_pow_rejects_negative_and_non_integer_exponents(self):
+        eps = QuadInt(3, 1, 10)
+        with pytest.raises(TypeError):
+            eps**-1
+        with pytest.raises(TypeError):
+            eps**1.5
+
 
 class TestConjNorm:
     def test_conj(self):
@@ -92,6 +127,10 @@ class TestConjNorm:
             assert QuadInt(t, 1, t * t + 1).norm() == -1
         for t in range(2, 20):
             assert QuadInt(t * t - 1, t, t * t - 2).norm() == 1
+
+    @given(quadints())
+    def test_norm_is_product_with_conjugate(self, x):
+        assert x * x.conj() == QuadInt(x.norm(), 0, x.m)
 
     @given(quadint_pairs())
     def test_norm_multiplicative(self, pair):

@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import isqrt, log10, sqrt
 
 import pytest
 
@@ -100,23 +100,116 @@ class TestReduceWindowDifferential:
             assert (res.j, res.alpha, res.n) == stepwise_reduce(xi, eps), \
                 (xi, eps)
 
+    @staticmethod
+    def counted_reduce(monkeypatch, xi, eps):
+        """reduce_window(xi, eps) and the number of QuadInts it built plus
+        the window half-tests it ran.  A reduction that moves by one unit
+        step at a time builds one QuadInt and runs one half-test per step,
+        whether it multiplies QuadInts or not."""
+        calls = 0
+
+        def counting(fn):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(QuadInt, "__init__", counting(QuadInt.__init__))
+        for name in ("_below_upper", "_above_lower"):
+            monkeypatch.setattr(reduction, name, counting(getattr(reduction, name)))
+        return reduce_window(xi, eps), calls
+
     @pytest.mark.parametrize("k, j", [(16000, -16001), (-16000, 15999)])
     def test_multiplications_grow_like_log_exponent(self, monkeypatch, k, j):
         # k < 0 gives coefficients of mixed sign, the guess's other branch
         eps = QuadInt(1, 1, 2)
         xi = QuadInt(3, 1, 2) * unit_power(eps, k)
-        calls = 0
-        mul = QuadInt.__mul__
+        res, calls = self.counted_reduce(monkeypatch, xi, eps)
+        assert res.j == j
+        assert calls < 20  # one step at a time counts about 32 000
 
-        def counting_mul(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
+    def test_step_count_sees_every_step(self, monkeypatch):
+        # a guess 300 steps too high leaves 300 exact steps down, each of
+        # which builds a QuadInt and runs a half-test
+        guess = reduction._guess_exponent
+        monkeypatch.setattr(reduction, "_guess_exponent",
+                            lambda *args: guess(*args) + 300)
+        eps = QuadInt(1, 1, 2)
+        xi = QuadInt(3, 1, 2) * unit_power(eps, 1000)
+        res, calls = self.counted_reduce(monkeypatch, xi, eps)
+        assert res.j == -1001
+        assert calls > 600
 
-        monkeypatch.setattr(QuadInt, "__mul__", counting_mul)
-        monkeypatch.setattr(QuadInt, "__rmul__", counting_mul)
-        assert reduce_window(xi, eps).j == j
-        assert calls < 200  # one step at a time takes about 48 000
+
+def large_cases():
+    """(xi, reducer, j, alpha): xi = xi0 * reducer**-k with coefficients of
+    1000 to 4000 digits and k of both signs, for units of norm -1 (m = 2,
+    13, 61) and +1 (m = 3, 7, 46) and their squares as reducers.  The
+    expected j and alpha follow from the reduction of the small xi0."""
+    rng = random.Random(28)
+    cases = []
+    for m in (2, 13, 61, 3, 7, 46):
+        for reducer in (fundamental_unit(m), fundamental_unit(m) ** 2):
+            digits_per_step = log10(reducer.a + reducer.b * sqrt(m))
+            for sign in (1, -1):
+                xi0 = QuadInt(rng.randrange(1, 50), rng.randrange(-50, 50), m)
+                res0 = reduce_window(xi0, reducer)
+                k = sign * round(rng.uniform(1000, 4000) / digits_per_step)
+                xi = xi0 * unit_power(reducer, -k)
+                if rng.random() < 0.5:
+                    xi = -xi
+                cases.append((xi, reducer, res0.j + k, res0.alpha))
+    return cases
+
+
+class TestSmallProduct:
+    """The low-bits product of reduce_window at large sizes and at its edges."""
+
+    def test_large_inputs_match_the_full_product(self):
+        for xi, eps, j, alpha in large_cases():
+            assert len(str(abs(xi.a))) >= 900
+            res = reduce_window(xi, eps)
+            assert (res.j, res.alpha) == (j, alpha), (xi, eps)
+            assert res.alpha == abs(xi) * unit_power(eps, j)
+
+    def test_doubling_from_one_bit(self, monkeypatch):
+        small = reduction._small_product
+        starts = []
+
+        def from_one_bit(*args):
+            starts.append(args[-1])
+            return small(*args[:-1], 1)
+
+        monkeypatch.setattr(reduction, "_small_product", from_one_bit)
+        for xi, eps, j, alpha in large_cases()[::3]:
+            res = reduce_window(xi, eps)
+            assert (res.j, res.alpha) == (j, alpha), (xi, eps)
+        for xi, eps in differential_grid()[::7]:
+            res = reduce_window(xi, eps)
+            assert (res.j, res.alpha, res.n) == stepwise_reduce(xi, eps), \
+                (xi, eps)
+        assert max(starts) > 1
+
+    @pytest.mark.parametrize("eps, j", [(QuadInt(1, 1, 2), 7), (QuadInt(1, 1, 2), -6),
+                                        (QuadInt(8, 3, 7), 5), (QuadInt(8, 3, 7), -4)],
+                             ids=["m2-j7", "m2-j-6", "m7-j5", "m7-j-4"])
+    def test_sign_is_checked(self, eps, j):
+        # The product P = 2**(k-1) * (1 + sqrt(m)) has both coefficients
+        # equal to 2**(k-1), whose low k bits lift to -2**(k-1): the first
+        # candidate is -P, and -P / E = -alpha.  A check that accepted
+        # either sign would return it.
+        k = 10
+        m, s = eps.m, eps.norm() ** (j & 1)
+        big = unit_power(eps, j)
+        product = QuadInt(2 ** (k - 1), 2 ** (k - 1), m)
+        alpha = product * unit_power(eps, -j)
+        assert alpha * big == product and big.norm() == s
+        mask, half = 2**k - 1, 2 ** (k - 1)
+        low = ((product.a & mask) + half) % 2**k - half
+        assert low == -product.a
+        got = reduction._small_product(alpha.a, alpha.b, big.a, big.b, m, s, k)
+        assert got == (product.a, product.b)
 
 
 def in_window_reference(alpha, eps, n):
