@@ -38,6 +38,7 @@ cost").
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from types import SimpleNamespace
 
 try:
@@ -324,24 +325,38 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 def _dumps(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2) for the types the envelopes hold: dicts
-    with str keys, lists, str, int and bool."""
-    if isinstance(obj, str):
+    with str keys, lists, str, int and bool.  Types are matched exactly,
+    bool before int; a str, int or bool child is written in place, and
+    only a dict or list child costs a call."""
+    kind = type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if isinstance(obj, bool):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if kind is int:
         return int.__repr__(obj)
+    if kind is dict:
+        items, ends = obj.items(), "{}"
+    elif kind is list:
+        items, ends = zip(repeat(None), obj), "[]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return ends
     inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    parts = []
+    for key, value in items:
+        kind = type(value)
+        if kind is str:
+            text = encode_basestring_ascii(value)
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif kind is int:
+            text = int.__repr__(value)
+        else:
+            text = _dumps(value, inner)
+        parts.append(text if key is None else f"{encode_basestring_ascii(key)}: {text}")
+    return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
 
 
 def main(argv: list[str] | None = None) -> int:

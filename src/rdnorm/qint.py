@@ -33,10 +33,6 @@ def check_radicand(m: int) -> None:
         raise PerfectSquareError(f"radicand {m} is a perfect square")
 
 
-def _sgn(n: int) -> int:
-    return (n > 0) - (n < 0)
-
-
 def sign_ab(a: int, b: int, m: int) -> int:
     """Sign of the real number a + b*sqrt(m), in {-1, 0, +1}, for a
     nonsquare m (not checked here).

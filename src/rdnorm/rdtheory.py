@@ -160,20 +160,21 @@ class VerificationReport(Record):
         return self.t_min < self.stated_from
 
 
-def _associate(x: QuadInt, y: QuadInt) -> bool:
-    """True iff the nonzero x and y are associates: x = u*y, u a unit.
+def _associate(x: tuple[int, int], y: tuple[int, int], m: int) -> bool:
+    """True iff the nonzero x = a + b*sqrt(m) and y = c + d*sqrt(m), given
+    as int pairs, are associates: x = u*y, u a unit.
 
     With n = |norm(y)|, x/y = x*conj(y)/norm(y).  If x has |norm| n too,
     x/y has norm +-1, so it is a unit exactly when it lies in Z[sqrt(m)],
-    that is when n divides both coefficients of x*conj(y).  Associates
-    have equal |norm|, so the norms are compared first, which settles
-    most pairs without a multiplication.
+    that is when n divides both coefficients of x*conj(y), which are
+    a*c - m*b*d and b*c - a*d.  Associates have equal |norm|, so the norms
+    are compared first, which settles most pairs without the product.
     """
-    n = abs(y.norm())
-    if abs(x.norm()) != n:
+    (a, b), (c, d) = x, y
+    n = abs(c * c - m * d * d)
+    if abs(a * a - m * b * b) != n:
         return False
-    p = x * y.conj()
-    return p.a % n == 0 and p.b % n == 0
+    return (a * c - m * b * d) % n == 0 and (b * c - a * d) % n == 0
 
 
 def _verify_single_t(cls: NormClassifier) -> list[Counterexample]:
@@ -182,20 +183,19 @@ def _verify_single_t(cls: NormClassifier) -> list[Counterexample]:
     eps = fundamental_unit(m)
     if not cls.orbit_clause:
         table = _norm_table(m, cls.threshold, eps, lambda n: not cls.allows(n))
-        return [Counterexample(t, n, reps[0].a, reps[0].b)
-                for n, reps in table.items()]
+        return [Counterexample(t, n, *reps[0]) for n, reps in table.items()]
 
     # 2.6: every orbit must be an integer times a unit or associate to a
     # listed generator.  The orbits of the first clause are those of the
     # integers, whose reps the table leaves out, so each rep left is tested,
     # as it stands, against the generators of its |norm|.
     table = _norm_table(m, cls.threshold, eps)
-    gens: dict[int, list[QuadInt]] = {}
+    gens: dict[int, list[tuple[int, int]]] = {}
     for g in prop26_generators(t):
-        gens.setdefault(abs(g.norm()), []).append(g)
-    return [Counterexample(t, n, rep.a, rep.b)
+        gens.setdefault(abs(g.norm()), []).append((g.a, g.b))
+    return [Counterexample(t, n, *rep)
             for n, reps in table.items() for rep in reps
-            if not any(_associate(rep, g) for g in gens.get(n, ()))]
+            if n not in gens or not any(_associate(rep, g, m) for g in gens[n])]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:

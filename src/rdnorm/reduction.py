@@ -66,14 +66,6 @@ def _below_upper(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
     return sign_ab(n * e - sa, n * f - sb, m) > 0
 
 
-def _in_window(a: int, b: int, m: int, e: int, f: int, n: int) -> bool:
-    """sqrt(n/eps) <= alpha < sqrt(n*eps) for alpha = a + b*sqrt(m) > 0 and
-    eps = e + f*sqrt(m), decided on the squares by the two half-tests on
-    alpha**2; no QuadInt is built."""
-    sa, sb = square_ab(a, b, m)
-    return _above_lower(sa, sb, m, e, f, n) and _below_upper(sa, sb, m, e, f, n)
-
-
 def _log_abs_sum(a: int, b: int, m: int) -> float:
     """log(|a| + |b|*sqrt(m)) of a nonzero a + b*sqrt(m), free of
     cancellation whatever the signs of a and b."""

@@ -8,6 +8,10 @@ numpy; the pure-Python path is the reference.
 A sweep over every n below some N instead walks, in one pass, each b from 1
 up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
 buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
+Both hand their hits to one routine, _window_reps, which picks the reps on
+plain ints: one exact sign per hit decides which of a + b*sqrt(m) and
+|a - b*sqrt(m)| lie in the window.  solve_norm wraps the reps it returns
+into QuadInts; a sweep's table stays on int pairs.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cache
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .pell import fundamental_unit
-from .qint import DomainError, QuadInt, Record, _sgn, sign_ab
-from .reduction import _check_reducer, _in_window
+from .qint import DomainError, QuadInt, Record, sign_ab
+from .reduction import _check_reducer
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
 # process (2-core Xeon VM, Python 3.11.7, numpy 2.4.6; median of 30 random
@@ -127,49 +132,67 @@ def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
 # -- solution sets -----------------------------------------------------------
 
 
-def _sort_key(x: QuadInt):
-    return (abs(x.b), abs(x.a), -_sgn(x.b), -_sgn(x.a))
+def _window_reps(
+    m: int, eps: QuadInt, hits: dict[int, list[tuple[int, int]]]
+) -> dict[int, list[tuple[int, int]]]:
+    """The canonical reps of the hits, as int pairs (x, y) for
+    x + y*sqrt(m): each n, ascending, maps to the elements |+-a + b*sqrt(m)|
+    over its hits (a, b) that lie in the window of norm n; an n with none
+    has no key.  Each n's hits must have a, b >= 0 and come in ascending
+    (b, a) order; its reps then come in the order of the key
+    (|y|, |x|, -sgn(y), -sgn(x)), with no sort.
 
-
-def _orbits(m: int, n: int, eps: QuadInt, hits) -> tuple[QuadInt, ...]:
-    """The elements |+-a + b*sqrt(m)| over the hits (a, b) that lie in the
-    window of norm n, in _sort_key order: the canonical reps, since each has
-    |b| <= B (coeff_bounds).  For b = 0 both signs give the same element.
-    Sign, absolute value and window test run on ints; only a kept
-    candidate becomes a QuadInt."""
+    For a, b > 0 the two elements are alpha = a + b*sqrt(m) and
+    |beta| = s*(a - b*sqrt(m)), s the sign of a**2 - m*b**2, with
+    alpha > |beta| and alpha*|beta| = n.  A gamma > 0 of |norm| n lies in
+    [sqrt(n/eps), sqrt(n*eps)) iff (n/gamma)/eps <= gamma < (n/gamma)*eps,
+    so alpha is in iff alpha < |beta|*eps and |beta| iff alpha <=
+    |beta|*eps: one exact sign, of |beta|*eps - alpha, decides both.  For
+    a = 0 or b = 0 both signs give the same element, which always lies in
+    the window.
+    """
     e, f = eps.a, eps.b
-    reps = []
-    for a, b in hits:
-        for x in (a, -a) if a and b else (a,):
-            y = b
-            if sign_ab(x, y, m) < 0:
-                x, y = -x, -y
-            if _in_window(x, y, m, e, f, n):
-                reps.append(QuadInt(x, y, m))
-    return tuple(sorted(reps, key=_sort_key))
+    mf = m * f
+    table = {}
+    for n in sorted(hits):
+        reps = []
+        for a, b in hits[n]:
+            if not a or not b:
+                reps.append((a, b))
+                continue
+            s = 1 if a * a > m * b * b else -1
+            c = sign_ab(s * (a * e - b * mf) - a, s * (a * f - b * e) - b, m)
+            if c > 0:
+                reps.append((a, b))
+            if c >= 0:
+                reps.append((a, -b) if s > 0 else (-a, b))
+        if reps:
+            table[n] = reps
+    return table
 
 
 def _norm_table(
     m: int, N: int, eps: QuadInt, keep: Callable[[int], bool] = lambda n: True
-) -> dict[int, tuple[QuadInt, ...]]:
+) -> dict[int, list[tuple[int, int]]]:
     """Orbit reps with b != 0 of every norm 0 < n < N, from one pass.
 
     Walks each b from 1 up to the bound for N - 1 and the few a with
     |a**2 - m*b**2| < N; hits past the bound of their own n are never in
-    the window.  Maps n, ascending, to exactly the reps of
-    solve_norm(m, n, eps=eps) with b != 0; an n without them has no key,
-    nor has one with keep(n) false, whose hits are never tested.  Row b = 0
-    holds only the integer reps of the squares, which no sweep reads.
+    the window.  A hit is collected only if keep(n) holds, and all of them
+    go to one _window_reps call.  Maps n, ascending, to exactly the reps of
+    solve_norm(m, n, eps=eps) with b != 0, as (x, y) int pairs in the same
+    order; an n without them has no key, nor has one with keep(n) false.
+    Row b = 0 holds only the integer reps of the squares, which no sweep
+    reads.
     """
     hits: dict[int, list[tuple[int, int]]] = {}
     for b in range(1, coeff_bounds(m, N - 1, eps)[1] + 1):
         v = m * b * b
         for a in range(isqrt(max(v - N, 0)), isqrt(v + N - 1) + 1):
             n = abs(a * a - v)
-            if 0 < n < N:
+            if n < N and keep(n):  # n > 0: m is no square
                 hits.setdefault(n, []).append((a, b))
-    table = {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
-    return {n: reps for n, reps in table.items() if reps}
+    return _window_reps(m, eps, hits)
 
 
 class SolutionSet(Record):
@@ -202,7 +225,10 @@ def solve_norm(
     _, b_bound = coeff_bounds(m, n, eps)
     hits = [(a, b) for a, b in _scan(m, n, b_bound)
             if not primitive_only or gcd(a, b) == 1]
-    return SolutionSet(m=m, n=n, eps=eps, reps=_orbits(m, n, eps, hits))
+    hits.sort(key=itemgetter(1, 0))
+    reps = _window_reps(m, eps, {n: hits}).get(n, ())
+    return SolutionSet(m=m, n=n, eps=eps,
+                       reps=tuple(QuadInt(x, y, m) for x, y in reps))
 
 
 def is_representable(m: int, n: int, eps: QuadInt | None = None) -> bool:

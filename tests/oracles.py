@@ -2,7 +2,9 @@
 
 - brute_oracle: the naive double loop the solver is checked against;
 - canonical_rep: one representative per orbit, by reduce_window;
-- sign_real: QuadInt.sign_real as a plain function.
+- sign_real: QuadInt.sign_real as a plain function;
+- in_window and window_reps: the window test and the reps of a list of
+  hits, on QuadInts, with an explicit sort.
 """
 
 from rdnorm import DomainError, QuadInt, reduce_window
@@ -31,3 +33,28 @@ def canonical_rep(alpha: QuadInt, eps: QuadInt) -> QuadInt:
 
 
 sign_real = QuadInt.sign_real
+
+
+def in_window(alpha: QuadInt, eps: QuadInt, n: int) -> bool:
+    """sqrt(n/eps) <= alpha < sqrt(n*eps), by QuadInt arithmetic on
+    alpha**2."""
+    sq = alpha * alpha
+    return (sq * eps - n).sign_real() >= 0 and (n * eps - sq).sign_real() > 0
+
+
+def rep_key(x: int, y: int) -> tuple:
+    """The order of the reps of one n: (|y|, |x|, -sgn(y), -sgn(x))."""
+    return abs(y), abs(x), (y < 0) - (y > 0), (x < 0) - (x > 0)
+
+
+def window_reps(m: int, n: int, eps: QuadInt, hits) -> list[tuple[int, int]]:
+    """The pairs (x, y) of the elements |+-a + b*sqrt(m)|, over the hits
+    (a, b) of norm n in any order, that lie in the window of norm n,
+    sorted by rep_key."""
+    reps = set()
+    for a, b in hits:
+        for x in (a, -a):
+            alpha = abs(QuadInt(x, b, m))
+            if in_window(alpha, eps, n):
+                reps.add((alpha.a, alpha.b))
+    return sorted(reps, key=lambda r: rep_key(*r))

@@ -68,6 +68,32 @@ def test_directions_come_from_benchmark_json():
     assert better["op_p90_ms"] == "lower" and better["ok_ops_per_s"] == "higher"
 
 
+def test_bounds_cover_only_end_to_end_metrics():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    bounds = bench_pairs.bounds(bench)
+    assert set(bounds) == {m["name"] for m in bench["end_to_end"]}
+    assert bounds["op_p90_ms"] == 0.25 and "qint.radicand_checks" not in bounds
+
+
+@pytest.mark.parametrize("better, change, regressed", [
+    # parent median 1.0, bound 0.2: worse by more than 0.2 is a regression
+    ("lower", 1.25, True), ("lower", 1.15, False), ("lower", 0.5, False),
+    ("higher", 0.75, True), ("higher", 0.85, False), ("higher", 2.0, False),
+])
+def test_regressed_is_worse_than_the_bound(better, change, regressed):
+    pairs = [({"x": 1.0}, {"x": change})] * 3
+    entry = bench_pairs.summarize(pairs, {"x": better}, {"x": 0.2})["x"]
+    assert entry["regressed"] is regressed
+
+
+def test_metric_without_a_bound_gets_no_flag():
+    summary = bench_pairs.summarize(pairs(), BETTER, {"op_p90_ms": 0.25})
+    assert summary["op_p90_ms"]["regressed"] is False
+    assert "regressed" not in summary["ok_ops_per_s"]
+    assert "regressed" not in summary["mystery"]
+
+
 STUB_RUN = """\
 import json, os, sys
 here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,12 +106,13 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 """
 
 
-def test_runs_alternate_and_the_file_holds_every_run(tmp_path, monkeypatch):
+def test_runs_alternate_and_the_file_holds_every_run(tmp_path, monkeypatch, capsys):
     for side in ("parent", "change"):
         os.makedirs(tmp_path / side / "perfbench")
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 5, "end_to_end": [{"name": "op_p90_ms", "better": "lower"}],
+        {"run_seconds": 5,
+         "end_to_end": [{"name": "op_p90_ms", "better": "lower", "bound": 0.25}],
          "per_layer": []}))
     monkeypatch.setattr(bench_pairs, "HERE", str(tmp_path / "change"))
     code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--workload", "units",
@@ -105,6 +132,9 @@ def test_runs_alternate_and_the_file_holds_every_run(tmp_path, monkeypatch):
                for r in runs)
     summary = doc["seeds"]["61"]["summary"]["op_p90_ms"]
     assert summary["wins"] == 3 and summary["claim_holds"] is True
+    assert summary["regressed"] is False
+    printed = [line for line in capsys.readouterr().out.splitlines() if "claim_holds" in line]
+    assert len(printed) == 2 and all(line.endswith(" regressed False") for line in printed)
 
 
 def test_a_wrong_answer_stops_the_run(tmp_path, monkeypatch):

@@ -221,10 +221,11 @@ class TestVerifyProp:
         m = prop_radicand("2.6", t)
         eps = fundamental_unit(m)
         table = _norm_table(m, allowed_set("2.6", t).threshold, eps)
-        gen_reps = {canonical_rep(g, eps) for g in prop26_generators(t)}
-        return [Counterexample(t, n, r.a, r.b)
-                for n, reps in table.items() for r in reps
-                if r.b != 0 and r not in gen_reps]
+        gen_reps = {(r.a, r.b) for r in (canonical_rep(g, eps)
+                                         for g in prop26_generators(t))}
+        return [Counterexample(t, n, x, y)
+                for n, reps in table.items() for x, y in reps
+                if y != 0 and (x, y) not in gen_reps]
 
     @pytest.mark.parametrize("t", [10**4, 10**5])
     def test_rule_26_large_t_matches_canonical_reps(self, t):
@@ -233,8 +234,10 @@ class TestVerifyProp:
 
     @pytest.mark.parametrize("t", [1000, 10**4])
     def test_rule_26_work_counts(self, monkeypatch, t):
-        """_orbits builds a QuadInt only for a rep it returns, and
-        _associate meets only rep-generator pairs of equal |norm|."""
+        """With the unit cached, a sweep builds no QuadInt but rule 2.6's
+        14 generators per t, none for rules 2.3-2.5, and _associate meets
+        only rep-generator pairs of equal |norm|."""
+        wants = {prop_id: verify_prop(prop_id, t, t) for prop_id in PROP_IDS}
         built = 0
         init = QuadInt.__init__
 
@@ -243,33 +246,23 @@ class TestVerifyProp:
             built += 1
             init(self, *args)
 
-        in_orbits = returned = 0
-        orbits = rdnorm.solve._orbits
-
-        def counting_orbits(*args):
-            nonlocal in_orbits, returned
-            before = built
-            reps = orbits(*args)
-            in_orbits += built - before
-            returned += len(reps)
-            return reps
-
         pairs = 0
         associate = rdtheory._associate
 
-        def checked_associate(x, y):
+        def checked_associate(x, y, m):
             nonlocal pairs
             pairs += 1
-            assert abs(x.norm()) == abs(y.norm()), (x, y)
-            return associate(x, y)
+            assert abs(x[0] ** 2 - m * x[1] ** 2) == abs(y[0] ** 2 - m * y[1] ** 2), (x, y)
+            return associate(x, y, m)
 
-        want = verify_prop("2.6", t, t)
         monkeypatch.setattr(QuadInt, "__init__", counting_init)
-        monkeypatch.setattr(rdnorm.solve, "_orbits", counting_orbits)
         monkeypatch.setattr(rdtheory, "_associate", checked_associate)
-        assert verify_prop("2.6", t, t) == want
-        assert returned > 0 and pairs > 0
-        assert in_orbits <= returned
+        for prop_id, want in wants.items():
+            built = 0
+            assert verify_prop(prop_id, t, t) == want
+            assert built == (14 if prop_id == "2.6" else 0), prop_id
+        assert pairs > 0
+        assert wants["2.6"].exceptions
 
     def test_sweep_and_certificate_never_reduce(self, monkeypatch):
         want = self.per_n_reference("2.6", 12, 40)
@@ -296,6 +289,11 @@ class TestVerifyProp:
         assert built == [12, 13, 14, 15, 16]
 
 
+def associate(x, y):
+    """rdtheory._associate, which takes int pairs, on QuadInts."""
+    return _associate((x.a, x.b), (y.a, y.b), x.m)
+
+
 class TestAssociate:
     """_associate, rule 2.6's orbit test, against equality of canonical
     reps: x*eps**j (random j, random sign) against every rep of the same n,
@@ -317,19 +315,19 @@ class TestAssociate:
                 x = rng.choice((1, -1)) * xi * (eps**j if j >= 0 else inv**-j)
                 for y in elems + [2 * xi, xi * QuadInt(1, 1, m)]:
                     want = canonical_rep(x, eps) == canonical_rep(y, eps)
-                    assert _associate(x, y) == _associate(y, x) == want
+                    assert associate(x, y) == associate(y, x) == want
                     seen.add(want)
         assert seen == {True, False}
 
     def test_rule_26_pairs(self):
         m = prop_radicand("2.6", 12)
         # the sporadic n = 53 reps are conjugates but not associates
-        assert not _associate(QuadInt(35, 3, m), QuadInt(-35, 3, m))
+        assert not associate(QuadInt(35, 3, m), QuadInt(-35, 3, m))
         # t + sqrt(m) = eps * (t - sqrt(m))
         delta = QuadInt(12, 1, m)
-        assert _associate(delta, delta.conj())
-        assert _associate(delta, -delta * fundamental_unit(m) ** 3)
-        assert not _associate(delta, 3 * delta)
+        assert associate(delta, delta.conj())
+        assert associate(delta, -delta * fundamental_unit(m) ** 3)
+        assert not associate(delta, 3 * delta)
 
 
 class TestIntegerTimesUnitRep:

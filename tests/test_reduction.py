@@ -13,15 +13,20 @@ from rdnorm import (
     solve_norm,
     unit_inverse,
 )
-from rdnorm.qint import is_square
-from rdnorm.reduction import _in_window
+from rdnorm.qint import is_square, square_ab
+from rdnorm.reduction import _above_lower, _below_upper
+
+from oracles import in_window as in_window_reference
 
 EPS10 = QuadInt(3, 1, 10)
 
 
 def in_window(alpha, eps, n):
-    """reduction._in_window, the window test _orbits runs, on QuadInts."""
-    return _in_window(alpha.a, alpha.b, eps.m, eps.a, eps.b, n)
+    """The window test reduce_window runs on plain ints, its two half-tests
+    on the coefficients of alpha**2, for QuadInts."""
+    sa, sb = square_ab(alpha.a, alpha.b, eps.m)
+    args = (sa, sb, eps.m, eps.a, eps.b, n)
+    return _above_lower(*args) and _below_upper(*args)
 
 
 def stepwise_reduce(xi, eps):
@@ -212,14 +217,9 @@ class TestSmallProduct:
         assert got == (product.a, product.b)
 
 
-def in_window_reference(alpha, eps, n):
-    """Reference: the window test by QuadInt arithmetic on alpha**2."""
-    sq = alpha * alpha
-    return (sq * eps - n).sign_real() >= 0 and (n * eps - sq).sign_real() > 0
-
-
 class TestInWindowDifferential:
-    """_in_window, decided on plain ints, against the QuadInt reference."""
+    """The window's half-tests, decided on plain ints, against the QuadInt
+    reference."""
 
     @staticmethod
     def check(alpha, eps, n):

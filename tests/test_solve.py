@@ -1,4 +1,3 @@
-import inspect
 import random
 import sys
 from math import gcd, isqrt
@@ -22,13 +21,12 @@ from rdnorm.rdtheory import PROP_IDS
 from rdnorm.solve import (
     _NUMPY_CUTOFF,
     _norm_table,
-    _orbits,
     _scan_np,
     _scan_py,
-    _sort_key,
+    _window_reps,
 )
 
-from oracles import brute_oracle, canonical_rep
+from oracles import brute_oracle, canonical_rep, rep_key, window_reps
 
 
 def collapse(pairs, m, eps):
@@ -256,9 +254,10 @@ class TestScanPaths:
             assert sorted(_scan_np(m, n, b_max)) == sorted(hits)
 
 
-def norm_table_from_b0(m, N, eps, keep=lambda n: True):
+def norm_table_from_b0(m, N, eps):
     """Reference: the sweep table walked from b = 0, row b = 0 included, so
-    that it maps n to every rep of solve_norm(m, n, eps=eps)."""
+    that it maps n to every rep of solve_norm(m, n, eps=eps); the reps come
+    from the QuadInt oracle window_reps, sorted by rep_key."""
     hits = {}
     for b in range(coeff_bounds(m, N - 1, eps)[1] + 1):
         v = m * b * b
@@ -266,22 +265,28 @@ def norm_table_from_b0(m, N, eps, keep=lambda n: True):
             n = abs(a * a - v)
             if 0 < n < N:
                 hits.setdefault(n, []).append((a, b))
-    return {n: _orbits(m, n, eps, hits[n]) for n in sorted(hits) if keep(n)}
+    return {n: window_reps(m, n, eps, hits[n]) for n in sorted(hits)}
 
 
 def table_pairs(m, N, eps, keep):
-    """The number of (a, b) pairs _norm_table(m, N, eps, keep) visits,
-    counted as the executions of the one line that takes a pair's norm."""
+    """The number of (a, b) pairs _norm_table(m, N, eps, keep) visits.
+
+    Read from the walk's frame: a pair is counted when, at a line the frame
+    runs, its local a holds another value than at the line before, b being
+    the row.  A row's first pair is missed only if its a repeats the row
+    before's last one, which for a rule radicand (m about t**2, N about 4t)
+    needs t < 5.
+    """
     code = _norm_table.__code__
-    lines = inspect.getsourcelines(_norm_table)
-    pair_line = lines[1] + next(i for i, line in enumerate(lines[0])
-                                if "abs(a * a - v)" in line)
-    pairs = 0
+    pairs = set()
+    last = [None]
 
     def local(frame, event, arg):
-        nonlocal pairs
-        if event == "line" and frame.f_lineno == pair_line:
-            pairs += 1
+        if event == "line":
+            a = frame.f_locals.get("a")
+            if a is not None and a != last[0]:
+                pairs.add((a, frame.f_locals["b"]))
+            last[0] = a
         return local
 
     previous = sys.gettrace()
@@ -290,12 +295,13 @@ def table_pairs(m, N, eps, keep):
         _norm_table(m, N, eps, keep)
     finally:
         sys.settrace(previous)
-    return pairs
+    return len(pairs)
 
 
 class TestNormTable:
     """_norm_table must equal one solve_norm per n < N, its reps with b = 0
-    left out, order included."""
+    left out, order included, and a table walked from b = 0 whose reps come
+    from the QuadInt oracle."""
 
     @staticmethod
     def assert_matches_per_n(m, N, eps):
@@ -305,8 +311,9 @@ class TestNormTable:
         assert all(0 < n < N and reps for n, reps in table.items())
         for n in range(1, N):
             # a missing key means n has no solutions with b != 0
-            want = tuple(r for r in solve_norm(m, n, eps=eps).reps if r.b)
-            assert table.get(n, ()) == want, (m, N, n)
+            want = [(r.a, r.b) for r in solve_norm(m, n, eps=eps).reps if r.b]
+            assert want == sorted(want, key=lambda r: rep_key(*r))
+            assert table.get(n, []) == want, (m, N, n)
         return sum(is_square(n) for n in table)
 
     def test_rule_radicands_at_rule_thresholds(self):
@@ -351,9 +358,9 @@ class TestNormTable:
             m = prop_radicand(prop_id, t)
             cls = allowed_set(prop_id, t)
             eps = fundamental_unit(m)
+            ref = norm_table_from_b0(m, cls.threshold, eps)
             for keep in (lambda n: True, lambda n: not cls.allows(n)):
-                ref = norm_table_from_b0(m, cls.threshold, eps, keep)
-                want = {n: tuple(r for r in reps if r.b) for n, reps in ref.items()}
+                want = {n: [r for r in reps if r[1]] for n, reps in ref.items() if keep(n)}
                 assert _norm_table(m, cls.threshold, eps, keep) == \
                     {n: reps for n, reps in want.items() if reps}, t
 
@@ -369,14 +376,19 @@ class TestNormTable:
 
 
 def reduce_then_dedup(m, eps, hits):
-    """Reference _orbits: every hit +-a + b*sqrt(m) moved into the window by
-    canonical_rep, then deduplicated, in _sort_key order."""
-    reps = {}
+    """Reference _window_reps: every hit +-a + b*sqrt(m) moved into the
+    window by canonical_rep, then deduplicated, as pairs in rep_key order."""
+    reps = set()
     for a, b in hits:
         for x in (a, -a) if a else (0,):
             rep = canonical_rep(QuadInt(x, b, m), eps)
-            reps[(rep.a, rep.b)] = rep
-    return tuple(sorted(reps.values(), key=_sort_key))
+            reps.add((rep.a, rep.b))
+    return sorted(reps, key=lambda r: rep_key(*r))
+
+
+def by_row(hits):
+    """Hits in the ascending (b, a) order _window_reps takes them in."""
+    return sorted(hits, key=lambda h: (h[1], h[0]))
 
 
 def hits_by_norm(m, n_max, b_max):
@@ -409,8 +421,8 @@ def hits_by_norm(m, n_max, b_max):
 
 
 class TestOrbitsDifferential:
-    """_orbits keeps the hits already in the window; it must equal reducing
-    every hit and deduplicating, order included."""
+    """_window_reps keeps the hits already in the window; it must equal
+    reducing every hit and deduplicating, order included."""
 
     def test_criterion_3_grid(self):
         norms, square_b0 = set(), 0
@@ -425,9 +437,10 @@ class TestOrbitsDifferential:
                 b_max = coeff_bounds(m, n, eps)[1]
                 for prim in (False, True):
                     ok = [h for h in hits if not prim or gcd(*h) == 1]
-                    got = _orbits(m, n, eps, [h for h in ok if h[1] <= b_max])
+                    kept = by_row(h for h in ok if h[1] <= b_max)
+                    got = _window_reps(m, eps, {n: kept}).get(n, [])
                     assert got == reduce_then_dedup(m, eps, ok), (m, n, prim)
-                    square_b0 += any(r.b == 0 and r.a > 1 for r in got)
+                    square_b0 += any(y == 0 and x > 1 for x, y in got)
         assert norms == {1, -1}
         assert square_b0 > 0
 
@@ -443,7 +456,8 @@ class TestOrbitsDifferential:
                 for prim in (False, True):
                     ok = [h for h in hits if not prim or gcd(*h) == 1]
                     got = solve_norm(m, n, primitive_only=prim, eps=unit).reps
-                    assert got == reduce_then_dedup(m, unit, ok), (m, n, unit)
+                    assert [(r.a, r.b) for r in got] == reduce_then_dedup(m, unit, ok), \
+                        (m, n, unit)
         # the representative on the lower window edge, with |b| = B = 1
         eps = fundamental_unit(146)
         assert QuadInt(-12, 1, 146) in solve_norm(146, 2, eps=eps).reps

@@ -21,8 +21,12 @@ each side's median and quartiles (``statistics.quantiles(values, n=4)``, as
 by the direction in this checkout's BENCHMARK.json.  A claimed gain
 holds on a seed when the change wins at least nine pairs in ten and its
 median is better than the parent's by more than the parent's
-interquartile range; ``claim_holds`` records that test.  A run that exits
-nonzero or reports ``correct: false`` stops the script with exit code 1.
+interquartile range; ``claim_holds`` records that test.  An end-to-end
+metric also gets ``regressed``: the change's median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json, read as a
+fraction of the parent's median; per-layer metrics have no bound and get
+no flag.  A run that exits nonzero or reports ``correct: false`` stops the
+script with exit code 1.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per-metric summary of (parent, change) metric dicts, one per pair.
 
     better maps a metric to "lower" or "higher"; a metric without a
-    direction gets its quartiles but no wins and no claim.
+    direction gets its quartiles but no wins and no claim.  bounds maps a
+    metric with a direction to the fraction of the parent's median by
+    which the change's may be worse before it counts as regressed.
     """
     summary = {}
     for name in pairs[0][0]:
@@ -67,6 +74,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
             entry.update(better=direction, wins=wins, pairs=len(pairs),
                          claim_holds=10 * wins >= 9 * len(pairs) and gain > iqr)
+            if bounds and name in bounds:
+                entry["regressed"] = -gain > bounds[name] * abs(entry["parent"]["median"])
         summary[name] = entry
     return summary
 
@@ -74,6 +83,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
 def directions(bench: dict) -> dict[str, str]:
     """Metric name -> "lower" or "higher", from a parsed BENCHMARK.json."""
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def bounds(bench: dict) -> dict[str, float]:
+    """End-to-end metric name -> its bound, from a parsed BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -104,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     roots = {"parent": os.path.abspath(args.parent), "change": HERE}
     with open(os.path.join(HERE, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    better = directions(bench)
+    better, bound = directions(bench), bounds(bench)
     seconds = bench["run_seconds"]
     for workload in args.workload:
         doc = {"workload": workload, "seconds": seconds, "trace": 0,
@@ -121,14 +135,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(workload, seed, i, order[0], "first",
                       {side: {k: round(v, 6) for k, v in run[side].items()}
                        for side in ("parent", "change")}, flush=True)
-            summary = summarize([(r["parent"], r["change"]) for r in runs], better)
+            summary = summarize([(r["parent"], r["change"]) for r in runs], better, bound)
             doc["seeds"][str(seed)] = {"summary": summary, "runs": runs}
             for name, entry in summary.items():
                 if "wins" in entry:
                     print(f"{workload} {seed} {name:14s} parent {entry['parent']['median']:<11.6g}"
                           f" change {entry['change']['median']:<11.6g}"
                           f" wins {entry['wins']}/{entry['pairs']}"
-                          f" claim_holds {entry['claim_holds']}", flush=True)
+                          f" claim_holds {entry['claim_holds']}"
+                          + (f" regressed {entry['regressed']}" if "regressed" in entry else ""),
+                          flush=True)
         path = os.path.join(args.out_dir, f"BENCH_{workload}.json")
         with open(path, "w") as f:
             json.dump(doc, f, indent=1)

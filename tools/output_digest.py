@@ -1,4 +1,4 @@
-"""One sha256 over everything the rdnorm CLI prints for a benchmark op list.
+"""Two sha256 over everything the rdnorm CLI prints for a benchmark op list.
 
 Usage, from a checkout's root:
 
@@ -7,15 +7,19 @@ Usage, from a checkout's root:
 Builds the op list of ``perfbench/workloads.make_ops(workload, seed, 20)``,
 20 s being ``perfbench/run.py``'s default run length, and runs each argv
 through ``rdnorm.cli.main`` in this process, in list order, by the
-benchmark's own ``perfbench/child.run_op`` with a 2 s deadline per op.
-Prints ``<workload> <seed> <ops> <timeouts> <sha256>``, the hash taken over
-argv, stdout, stderr (its last 2000 characters, as child.py keeps them),
-status and exit code of every op.  Two checkouts whose lines match print
-the same bytes for every op; ``--root`` runs another checkout's ``src``
-without copying this script there.  When ``rdnorm`` does not come from
-``<root>/src/rdnorm`` (a mistyped ``--root`` falls back to any ``rdnorm``
-on the path, such as ``PYTHONPATH=src``'s), it prints one error line on
-stderr and exits 1 without a digest.
+benchmark's own ``perfbench/child.run_op`` with a 2 s deadline per run.
+Every op's argv holds ``--json``; the human lines come from another code
+path, so each op runs a second time, right after the first, with
+``--json`` left out, unless its ``--json`` run timed out.  Prints
+``<workload> <seed> <ops> <timeouts> <sha256 --json> <sha256 plain>``,
+each hash taken over argv, stdout, stderr (its last 2000 characters, as
+child.py keeps them), status and exit code of every run of its form, and
+the timeouts counted over both forms.  Two checkouts whose lines match
+print the same bytes for every op in both forms; ``--root`` runs another
+checkout's ``src`` without copying this script there.  When ``rdnorm``
+does not come from ``<root>/src/rdnorm`` (a mistyped ``--root`` falls back
+to any ``rdnorm`` on the path, such as ``PYTHONPATH=src``'s), it prints
+one error line on stderr and exits 1 without a digest.
 
 An op's status depends on the machine's speed as well as on the code: an
 op that ends near the 2 s deadline on one run may time out on a loaded
@@ -62,15 +66,24 @@ def main() -> int:
         return 1
 
     signal.signal(signal.SIGALRM, _on_alarm)
-    digest = hashlib.sha256()
+    json_form, plain_form = hashlib.sha256(), hashlib.sha256()
     ops = make_ops(args.workload, args.seed, RUN_SECONDS)
     timeouts = 0
-    for op in ops:
-        r = run_op(rdnorm.cli, op["argv"], DEADLINE_S)
+
+    def run(argv, digest) -> bool:
+        """Run argv into digest; True unless it timed out."""
+        nonlocal timeouts
+        r = run_op(rdnorm.cli, argv, DEADLINE_S)
         timeouts += r["status"] == "timeout"
-        record = [op["argv"], r["stdout"], r["stderr"], r["status"], r["code"]]
+        record = [argv, r["stdout"], r["stderr"], r["status"], r["code"]]
         digest.update(json.dumps(record).encode() + b"\n")
-    print(args.workload, args.seed, len(ops), timeouts, digest.hexdigest())
+        return r["status"] != "timeout"
+
+    for op in ops:
+        if run(op["argv"], json_form):
+            run([arg for arg in op["argv"] if arg != "--json"], plain_form)
+    print(args.workload, args.seed, len(ops), timeouts,
+          json_form.hexdigest(), plain_form.hexdigest())
     return 0
 
 
