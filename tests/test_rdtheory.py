@@ -3,7 +3,6 @@ import random
 import pytest
 
 import rdnorm.reduction
-import rdnorm.solve
 from rdnorm import (
     Counterexample,
     DomainError,
