@@ -11,10 +11,11 @@ Each cmd_* handler builds its JSON result and its human lines from the
 library's values, which carry no JSON of their own, so this module alone
 defines the output format.  It returns data: (exit code, JSON result,
 human lines), the lines as a zero-argument function so that they are
-formatted only when printed.  main alone writes stdout and the error
-message; the one other write is verify's notice on stderr when a sweep
-starts below its rule's first t, printed on every such call.  main keeps
-no state between calls, so it may be called repeatedly in one process.
+formatted only when printed.  main alone writes the result and the error
+message, and _write is the one writer to stdout, for them and the help;
+the one other write is verify's notice on stderr when a sweep starts
+below its rule's first t, printed on every such call.  main keeps no
+state between calls, so it may be called repeatedly in one process.
 
 One table, _COMMANDS, holds each command's handler, positionals, flags,
 valued options and help line; _parse reads argv from it in one pass, as
@@ -212,7 +213,7 @@ def _help(command: str | None):
         _, _, flags, valued, summary = _COMMANDS[command]
         lines = [summary]
         options |= {f"{o} {_metavar(o)}": text for o, text in valued.items()} | flags
-    print("\n".join([_usage(command), "", *lines, "", "options:", *_rows(options)]))
+    _write("\n".join([_usage(command), "", *lines, "", "options:", *_rows(options)]))
     raise SystemExit(EXIT_OK)
 
 
@@ -359,6 +360,21 @@ def _dumps(obj, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
 
 
+def _write(text: str) -> None:
+    """Print text on stdout, the one way this module writes there."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): not a failure.
+        # Point the fd at devnull so the interpreter's last flush of
+        # what is still buffered stays silent.
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     # Arguments keep the 4300-digit int<->str limit (absent before Python
@@ -372,22 +388,12 @@ def main(argv: list[str] | None = None) -> int:
             text = _dumps({"command": args.command, "ok": True, "result": result})
         else:
             text = "\n".join(human())
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed stdout early (`| head`): not a failure.
-            # Point the fd at devnull so the interpreter's last flush of
-            # what is still buffered stays silent.
-            import os
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _write(text)
         return code
     except DomainError as exc:
         if args.json:
             error = {"code": "domain-error", "message": str(exc)}
-            print(_dumps({"command": args.command, "ok": False, "error": error}))
+            _write(_dumps({"command": args.command, "ok": False, "error": error}))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

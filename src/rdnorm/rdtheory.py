@@ -218,7 +218,7 @@ def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:
     checked = 0
     exceptions = []
     for t in range(t_min, t_max + 1):
-        cls = rule.classifier(t)
+        cls = allowed_set(prop_id, t)
         checked += cls.threshold - 1
         exceptions += _verify_single_t(cls)
     return VerificationReport(prop_id, t_min, t_max, checked, tuple(exceptions))

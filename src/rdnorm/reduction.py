@@ -1,19 +1,23 @@
 """Placing an element of Z[sqrt(m)] into a multiplicative window.
 
 Every nonzero xi has a unique associate +-xi*eps**j that is positive and
-lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  The exponent j
-is guessed from floating-point logarithms.  eps**j is computed exactly,
-but the product alpha*eps**j with alpha = |xi|, which is small once j is
-right, is read from the low bits of the coefficients and accepted only if
-dividing it by eps**j gives back alpha exactly, sign included; so the
-reduction costs one power of the unit
-plus work linear in the size of xi, not a product at that size.  Exact
-steps by eps then fix it up.  The window tests are carried out on
-squared quantities so that they stay inside Z[sqrt(m)] and are decided
-exactly by integer signs: sign_ab on the coefficients of alpha**2*eps - n
-and n*eps - alpha**2.  reduce_half's half window of alpha at norm n is the
-window of alpha**2 at norm n**2, so it runs the same two tests.  The float
-guess only sets where the steps start, never where they stop.
+lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  One routine,
+_window_reps, decides that window for the whole package, on int pairs:
+for a, b >= 0 the elements a + b*sqrt(m) and |a - b*sqrt(m)| multiply to
+n, so one exact sign says which of them lie in it.  The solver hands it
+all its hits at once; reduce_window and reduce_half hand it one element.
+The exponent j is guessed from floating-point logarithms.  eps**j is
+computed exactly, but the product alpha*eps**j with alpha = |xi|, which
+is small once j is right, is read from the low bits of the coefficients
+and accepted only if dividing it by eps**j gives back alpha exactly, sign
+included; so the reduction costs one power of the unit plus work linear
+in the size of xi, not a product at that size.  Exact unit steps on int
+pairs then fix it up, and the window test says which way to step: a
+positive element whose coefficients are both positive is the larger of
+its pair, so outside the window it lies above it; one with mixed signs
+is the smaller, so it lies below.  reduce_half's half window of alpha at
+norm n is the window of alpha**2 at norm n**2, so it runs the same test.
+The float guess only sets where the steps start, never where they stop.
 """
 
 from __future__ import annotations
@@ -56,14 +60,43 @@ def _check_reducer(eps: QuadInt, m: int) -> None:
         raise DomainError(f"unit {eps} must exceed 1")
 
 
-def _above_lower(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
-    """alpha**2 * eps >= n, for alpha**2 = sa + sb*sqrt(m), eps = e + f*sqrt(m)."""
-    return sign_ab(sa * e + m * sb * f - n, sa * f + sb * e, m) >= 0
+def _window_reps(
+    m: int, eps: QuadInt, hits: dict[int, list[tuple[int, int]]]
+) -> dict[int, list[tuple[int, int]]]:
+    """The canonical reps of the hits, as int pairs (x, y) for
+    x + y*sqrt(m): each n, ascending, maps to the elements |+-a + b*sqrt(m)|
+    over its hits (a, b) that lie in the window of norm n; an n with none
+    has no key.  Each n's hits must have a, b >= 0 and come in ascending
+    (b, a) order; its reps then come in the order of the key
+    (|y|, |x|, -sgn(y), -sgn(x)), with no sort.
 
-
-def _below_upper(sa: int, sb: int, m: int, e: int, f: int, n: int) -> bool:
-    """alpha**2 < n * eps, for alpha**2 = sa + sb*sqrt(m), eps = e + f*sqrt(m)."""
-    return sign_ab(n * e - sa, n * f - sb, m) > 0
+    For a, b > 0 the two elements are alpha = a + b*sqrt(m) and
+    |beta| = s*(a - b*sqrt(m)), s the sign of a**2 - m*b**2, with
+    alpha > |beta| and alpha*|beta| = n.  A gamma > 0 of |norm| n lies in
+    [sqrt(n/eps), sqrt(n*eps)) iff (n/gamma)/eps <= gamma < (n/gamma)*eps,
+    so alpha is in iff alpha < |beta|*eps and |beta| iff alpha <=
+    |beta|*eps: one exact sign, of |beta|*eps - alpha, decides both.  For
+    a = 0 or b = 0 both signs give the same element, which always lies in
+    the window.
+    """
+    e, f = eps.a, eps.b
+    mf = m * f
+    table = {}
+    for n in sorted(hits):
+        reps = []
+        for a, b in hits[n]:
+            if not a or not b:
+                reps.append((a, b))
+                continue
+            s = 1 if a * a > m * b * b else -1
+            c = sign_ab(s * (a * e - b * mf) - a, s * (a * f - b * e) - b, m)
+            if c > 0:
+                reps.append((a, b))
+            if c >= 0:
+                reps.append((a, -b) if s > 0 else (-a, b))
+        if reps:
+            table[n] = reps
+    return table
 
 
 def _log_abs_sum(a: int, b: int, m: int) -> float:
@@ -130,15 +163,15 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
     A float guess j of the exponent is applied in one step: eps**j is
     computed exactly, and the product alpha*eps**j, which the guess makes
     small, is read from its low bits and checked exactly (_small_product).
-    Exact steps then finish the job: eps > 1 guarantees that multiplying or
-    dividing by eps terminates, and the half-open window makes the exponent
-    unique, so the result does not depend on the guess.
+    Exact unit steps on int pairs then finish the job, each after one
+    _window_reps test: eps > 1 guarantees that multiplying or dividing by
+    eps terminates, and the half-open window makes the exponent unique, so
+    the result does not depend on the guess.
     """
     if xi.is_zero():
         raise DomainError("cannot reduce zero")
     _check_reducer(eps, xi.m)
-    m, e, f = eps.m, eps.a, eps.b
-    inv = unit_inverse(eps)
+    m, e, f, s = eps.m, eps.a, eps.b, eps.norm()
     a, b = xi.a, xi.b
     nrm = a * a - m * (b * b)
     n = abs(nrm)
@@ -152,24 +185,22 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
         a, b = -a, -b
     j = _guess_exponent(a, b, eps, n)
     if j:
-        step = eps if j > 0 else inv
-        big_e, big_f = pow_ab(step.a, step.b, m, abs(j))
+        step = (e, f) if j > 0 else (s * e, -s * f)  # eps**-1 = s*conj(eps)
+        big_e, big_f = pow_ab(*step, m, abs(j))
         # Within two unit steps of the window, alpha and its conjugate are
         # below sqrt(n)*eps**2.5 in absolute value, and so are both
         # coefficients; eps < 2**(e.bit_length() + 1).
         k = (n.bit_length() + 5 * e.bit_length() + 6) // 2 + 1
-        # eps**j has norm norm(eps)**j
-        a, b = _small_product(a, b, big_e, big_f, m, eps.norm() ** (j & 1), k)
-    alpha = QuadInt(a, b, m)
-    # too large: alpha**2 >= n*eps
-    while not _below_upper(*square_ab(alpha.a, alpha.b, m), m, e, f, n):
-        alpha = alpha * inv
-        j -= 1
-    # too small: alpha**2 < n/eps
-    while not _above_lower(*square_ab(alpha.a, alpha.b, m), m, e, f, n):
-        alpha = alpha * eps
-        j += 1
-    return ReductionResult(j, alpha, n)
+        # eps**j has norm s**j
+        a, b = _small_product(a, b, big_e, big_f, m, s ** (j & 1), k)
+    while (a, b) not in _window_reps(m, eps, {n: [(abs(a), abs(b))]}).get(n, ()):
+        if a > 0 and b > 0:  # the larger of its pair: above the window
+            a, b = s * (a * e - m * b * f), s * (b * e - a * f)
+            j -= 1
+        else:  # mixed signs, the smaller of its pair: below the window
+            a, b = a * e + m * b * f, a * f + b * e
+            j += 1
+    return ReductionResult(j, QuadInt(a, b, m), n)
 
 
 def reduce_half(
@@ -185,8 +216,10 @@ def reduce_half(
     [sqrt(n/sqrt(eps)), sqrt(n*sqrt(eps))), the case is "direct"; otherwise
     it is multiplied once by delta, doubling the absolute norm and landing
     in [sqrt(2n/sqrt(eps)), sqrt(2n*sqrt(eps))).  A half window at norm n
-    holds alpha iff the window at norm n**2 holds alpha**2, so the window's
-    integer half-tests, on the coefficients of alpha**4, decide both edges.
+    holds alpha iff the window at norm n**2 holds alpha**2, so _window_reps
+    decides it, and the signs of the coefficients of alpha**2 say, as in
+    reduce_window, whether an alpha outside lies above it, where the
+    division by eps is due, or below.
     """
     t = delta.a
     if delta.b != 1 or t < 1 or delta.m != t * t + 2:
@@ -195,18 +228,12 @@ def reduce_half(
         raise DomainError("delta**2 != 2*eps")
 
     res = reduce_window(xi, eps)
-    j, alpha, n = res.j, res.alpha, res.n
-    m, e, f, nn = eps.m, eps.a, eps.b, n * n
-
-    # upper edge: alpha < sqrt(n*sqrt(eps))  <=>  alpha**4 < n**2 * eps
-    a4 = square_ab(*square_ab(alpha.a, alpha.b, m), m)
-    if not _below_upper(*a4, m, e, f, nn):
+    j, alpha, nn = res.j, res.alpha, res.n * res.n
+    sa, sb = square_ab(alpha.a, alpha.b, eps.m)
+    if (sa, sb) in _window_reps(eps.m, eps, {nn: [(sa, abs(sb))]}).get(nn, ()):
+        return res, "direct"
+    if sb > 0:  # alpha**2 above its window: alpha above the half window
         alpha = alpha * unit_inverse(eps)
         j -= 1
-        a4 = square_ab(*square_ab(alpha.a, alpha.b, m), m)
-
-    # upper half-window: alpha >= sqrt(n/sqrt(eps))  <=>  alpha**4 * eps >= n**2
-    if _above_lower(*a4, m, e, f, nn):
-        return ReductionResult(j, alpha, n), "direct"
     alpha = alpha * delta
     return ReductionResult(j, alpha, abs(alpha.norm())), "delta-multiplied"

@@ -8,10 +8,11 @@ numpy; the pure-Python path is the reference.
 A sweep over every n below some N instead walks, in one pass, each b from 1
 up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
 buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
-Both hand their hits to one routine, _window_reps, which picks the reps on
-plain ints: one exact sign per hit decides which of a + b*sqrt(m) and
-|a - b*sqrt(m)| lie in the window.  solve_norm wraps the reps it returns
-into QuadInts; a sweep's table stays on int pairs.
+Both hand their hits to reduction._window_reps, the package's one window
+test, which picks the reps on plain ints: one exact sign per hit decides
+which of a + b*sqrt(m) and |a - b*sqrt(m)| lie in the window.  solve_norm
+wraps the reps it returns into QuadInts; a sweep's table stays on int
+pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .pell import fundamental_unit
-from .qint import DomainError, QuadInt, Record, sign_ab
-from .reduction import _check_reducer
+from .qint import DomainError, QuadInt, Record
+from .reduction import _check_reducer, _window_reps
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
 # process (2-core Xeon VM, Python 3.11.7, numpy 2.4.6; median of 30 random
@@ -130,45 +131,6 @@ def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
 
 
 # -- solution sets -----------------------------------------------------------
-
-
-def _window_reps(
-    m: int, eps: QuadInt, hits: dict[int, list[tuple[int, int]]]
-) -> dict[int, list[tuple[int, int]]]:
-    """The canonical reps of the hits, as int pairs (x, y) for
-    x + y*sqrt(m): each n, ascending, maps to the elements |+-a + b*sqrt(m)|
-    over its hits (a, b) that lie in the window of norm n; an n with none
-    has no key.  Each n's hits must have a, b >= 0 and come in ascending
-    (b, a) order; its reps then come in the order of the key
-    (|y|, |x|, -sgn(y), -sgn(x)), with no sort.
-
-    For a, b > 0 the two elements are alpha = a + b*sqrt(m) and
-    |beta| = s*(a - b*sqrt(m)), s the sign of a**2 - m*b**2, with
-    alpha > |beta| and alpha*|beta| = n.  A gamma > 0 of |norm| n lies in
-    [sqrt(n/eps), sqrt(n*eps)) iff (n/gamma)/eps <= gamma < (n/gamma)*eps,
-    so alpha is in iff alpha < |beta|*eps and |beta| iff alpha <=
-    |beta|*eps: one exact sign, of |beta|*eps - alpha, decides both.  For
-    a = 0 or b = 0 both signs give the same element, which always lies in
-    the window.
-    """
-    e, f = eps.a, eps.b
-    mf = m * f
-    table = {}
-    for n in sorted(hits):
-        reps = []
-        for a, b in hits[n]:
-            if not a or not b:
-                reps.append((a, b))
-                continue
-            s = 1 if a * a > m * b * b else -1
-            c = sign_ab(s * (a * e - b * mf) - a, s * (a * f - b * e) - b, m)
-            if c > 0:
-                reps.append((a, b))
-            if c >= 0:
-                reps.append((a, -b) if s > 0 else (-a, b))
-        if reps:
-            table[n] = reps
-    return table
 
 
 def _norm_table(

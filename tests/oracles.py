@@ -1,13 +1,15 @@
 """Test references that no rdnorm command needs, so they live with the tests.
 
 - brute_oracle: the naive double loop the solver is checked against;
-- canonical_rep: one representative per orbit, by reduce_window;
+- stepwise_reduce and canonical_rep: an element's window associate, and
+  with it one representative per orbit, found one exact QuadInt unit step
+  at a time, apart from reduce_window and its window test;
 - sign_real: QuadInt.sign_real as a plain function;
 - in_window and window_reps: the window test and the reps of a list of
   hits, on QuadInts, with an explicit sort.
 """
 
-from rdnorm import DomainError, QuadInt, reduce_window
+from rdnorm import DomainError, QuadInt, unit_inverse
 
 
 def brute_oracle(m: int, n: int, x_max: int, y_max: int) -> list[tuple[int, int]]:
@@ -27,9 +29,25 @@ def brute_oracle(m: int, n: int, x_max: int, y_max: int) -> list[tuple[int, int]
     return out
 
 
+def stepwise_reduce(xi: QuadInt, eps: QuadInt) -> tuple[int, QuadInt, int]:
+    """reduce_window's (j, alpha, n), with the exponent j found one unit
+    step at a time."""
+    n = abs(xi.norm())
+    alpha = abs(xi)
+    inv = unit_inverse(eps)
+    j = 0
+    while (n * eps - alpha * alpha).sign_real() <= 0:
+        alpha = alpha * inv
+        j -= 1
+    while (alpha * alpha * eps - n).sign_real() < 0:
+        alpha = alpha * eps
+        j += 1
+    return j, alpha, n
+
+
 def canonical_rep(alpha: QuadInt, eps: QuadInt) -> QuadInt:
     """Deterministic representative of the orbit {+-alpha * eps**j}."""
-    return reduce_window(alpha, eps).alpha
+    return stepwise_reduce(alpha, eps)[1]
 
 
 sign_real = QuadInt.sign_real

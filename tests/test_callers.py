@@ -1,14 +1,14 @@
-"""Every public function and class in src/rdnorm has a caller in src/rdnorm.
+"""Every top-level function and class in src/rdnorm, private ones too, has
+a caller in src/rdnorm.
 
-Code that only tests call belongs with the tests (tests/oracles.py).  The
+Code that only tests call belongs with the tests (tests/oracles.py), and a
+private helper that a refactor leaves without a caller is deleted.  The
 walk covers each module but __init__.py, which re-exports everything, and
 counts a name as used where code other than its own definition names it.
-Four names stand without a caller until the rules are proven and derived
+Three names stand without a caller until the rules are proven and derived
 from the Richaud-Degert shapes (ROADMAP items 7-9), which decide whether
 they gain one or leave:
 
-- allowed_set: one rule's allowed norms at t, as the paper states them,
-  which a proof of the rule compares against;
 - rd_classify: the decomposition m = t**2 + r with |r| <= t and r | 4t,
   the shapes a derived rule ranges over (it builds RDForm);
 - rd_unit: the closed-form unit for r in {1, -1, 2, -2}, for use where it
@@ -22,7 +22,7 @@ import os
 
 import rdnorm
 
-UNCALLED = {"allowed_set", "rd_classify", "rd_unit", "reduce_half"}
+UNCALLED = {"rd_classify", "rd_unit", "reduce_half"}
 
 
 def test_only_the_listed_names_lack_a_caller():
@@ -35,7 +35,7 @@ def test_only_the_listed_names_lack_a_caller():
             tree = ast.parse(f.read())
         for node in tree.body:
             own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(own)
             named |= {sub.id for sub in ast.walk(node)
                       if isinstance(sub, ast.Name) and sub.id != own}

@@ -437,6 +437,23 @@ class TestInvocation:
         assert b"Traceback" not in stderr
         assert proc.returncode == EXIT_EXCEPTIONS
 
+    @pytest.mark.parametrize("argv, code", [(["unit", "4", "--json"], EXIT_USAGE),
+                                            (["-h"], EXIT_OK)],
+                             ids=["domain-error", "help"])
+    def test_closed_stdout_on_error_and_help_paths(self, argv, code):
+        # The read end of the pipe is closed before the child starts, so its
+        # first write to stdout meets EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rdnorm", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=child_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert proc.returncode == code
+
     def test_json_is_single_document(self, capsys):
         _, out, _ = run(capsys, "solve", "10", "6", "--json")
         json.loads(out)  # raises if more than one document

@@ -13,35 +13,20 @@ from rdnorm import (
     solve_norm,
     unit_inverse,
 )
-from rdnorm.qint import is_square, square_ab
-from rdnorm.reduction import _above_lower, _below_upper
+from rdnorm.qint import is_square
+from rdnorm.reduction import _window_reps
 
-from oracles import in_window as in_window_reference
+from oracles import in_window as in_window_reference, stepwise_reduce
 
 EPS10 = QuadInt(3, 1, 10)
 
 
 def in_window(alpha, eps, n):
-    """The window test reduce_window runs on plain ints, its two half-tests
-    on the coefficients of alpha**2, for QuadInts."""
-    sa, sb = square_ab(alpha.a, alpha.b, eps.m)
-    args = (sa, sb, eps.m, eps.a, eps.b, n)
-    return _above_lower(*args) and _below_upper(*args)
-
-
-def stepwise_reduce(xi, eps):
-    """Reference: reduce_window's exponent found one unit step at a time."""
-    n = abs(xi.norm())
-    alpha = abs(xi)
-    inv = unit_inverse(eps)
-    j = 0
-    while (n * eps - alpha * alpha).sign_real() <= 0:
-        alpha = alpha * inv
-        j -= 1
-    while (alpha * alpha * eps - n).sign_real() < 0:
-        alpha = alpha * eps
-        j += 1
-    return j, alpha, n
+    """The package's one window test, _window_reps on the int pair of the
+    positive alpha, for a QuadInt whose |norm| is n."""
+    assert abs(alpha.norm()) == n
+    a, b = alpha.a, alpha.b
+    return (a, b) in _window_reps(eps.m, eps, {n: [(abs(a), abs(b))]}).get(n, ())
 
 
 def unit_power(eps, k):
@@ -107,44 +92,45 @@ class TestReduceWindowDifferential:
 
     @staticmethod
     def counted_reduce(monkeypatch, xi, eps):
-        """reduce_window(xi, eps) and the number of QuadInts it built plus
-        the window half-tests it ran.  A reduction that moves by one unit
-        step at a time builds one QuadInt and runs one half-test per step,
-        whether it multiplies QuadInts or not."""
-        calls = 0
+        """reduce_window(xi, eps), the number of QuadInts it built and the
+        number of window tests it ran.  A reduction that moves by one unit
+        step at a time runs one window test per step."""
+        counts = {"quadints": 0, "tests": 0}
 
-        def counting(fn):
+        def counting(key, fn):
             def counted(*args):
-                nonlocal calls
-                calls += 1
+                counts[key] += 1
                 return fn(*args)
             return counted
 
-        monkeypatch.setattr(QuadInt, "__init__", counting(QuadInt.__init__))
-        for name in ("_below_upper", "_above_lower"):
-            monkeypatch.setattr(reduction, name, counting(getattr(reduction, name)))
-        return reduce_window(xi, eps), calls
+        monkeypatch.setattr(QuadInt, "__init__",
+                            counting("quadints", QuadInt.__init__))
+        monkeypatch.setattr(reduction, "_window_reps",
+                            counting("tests", reduction._window_reps))
+        return reduce_window(xi, eps), counts
 
     @pytest.mark.parametrize("k, j", [(16000, -16001), (-16000, 15999)])
     def test_multiplications_grow_like_log_exponent(self, monkeypatch, k, j):
         # k < 0 gives coefficients of mixed sign, the guess's other branch
         eps = QuadInt(1, 1, 2)
         xi = QuadInt(3, 1, 2) * unit_power(eps, k)
-        res, calls = self.counted_reduce(monkeypatch, xi, eps)
+        res, counts = self.counted_reduce(monkeypatch, xi, eps)
         assert res.j == j
-        assert calls < 20  # one step at a time counts about 32 000
+        assert counts["tests"] < 20  # one step at a time counts about 32 000
+        assert counts["quadints"] <= 2
 
     def test_step_count_sees_every_step(self, monkeypatch):
         # a guess 300 steps too high leaves 300 exact steps down, each of
-        # which builds a QuadInt and runs a half-test
+        # which runs a window test; the steps stay on int pairs
         guess = reduction._guess_exponent
         monkeypatch.setattr(reduction, "_guess_exponent",
                             lambda *args: guess(*args) + 300)
         eps = QuadInt(1, 1, 2)
         xi = QuadInt(3, 1, 2) * unit_power(eps, 1000)
-        res, calls = self.counted_reduce(monkeypatch, xi, eps)
+        res, counts = self.counted_reduce(monkeypatch, xi, eps)
         assert res.j == -1001
-        assert calls > 600
+        assert counts["tests"] >= 300
+        assert counts["quadints"] <= 2
 
 
 def large_cases():
@@ -218,7 +204,7 @@ class TestSmallProduct:
 
 
 class TestInWindowDifferential:
-    """The window's half-tests, decided on plain ints, against the QuadInt
+    """The one window test, decided on plain ints, against the QuadInt
     reference."""
 
     @staticmethod
@@ -270,9 +256,8 @@ class TestInWindowDifferential:
             a, b = rng.randrange(-400, 401), rng.randrange(-40, 41)
             if a == b == 0:
                 continue
-            alpha = abs(QuadInt(a, b, m))
-            n = abs(alpha.norm()) + rng.choice((0, 0, -1, 1))
-            seen.add(self.check(alpha, eps, max(n, 1)))
+            alpha = abs(QuadInt(a, b, m)) * unit_power(eps, rng.choice((-1, 0, 1)))
+            seen.add(self.check(alpha, eps, abs(alpha.norm())))
         assert seen == {True, False}
 
 

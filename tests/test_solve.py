@@ -23,8 +23,8 @@ from rdnorm.solve import (
     _norm_table,
     _scan_np,
     _scan_py,
-    _window_reps,
 )
+from rdnorm.reduction import _window_reps
 
 from oracles import brute_oracle, canonical_rep, rep_key, window_reps
 
