@@ -18,13 +18,13 @@ from rdnorm import (
     solve_norm,
 )
 from rdnorm.rdtheory import PROP_IDS
+from rdnorm.reduction import _window_reps
 from rdnorm.solve import (
     _NUMPY_CUTOFF,
     _norm_table,
     _scan_np,
     _scan_py,
 )
-from rdnorm.reduction import _window_reps
 
 from oracles import brute_oracle, canonical_rep, rep_key, window_reps
 
