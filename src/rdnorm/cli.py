@@ -4,16 +4,17 @@ Subcommands: unit, solve, reduce, verify, witness.  Human-readable output
 by default, one JSON document on stdout with --json; diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found exceptions, 2 usage
 or domain error (DomainError); any other exception is a bug and propagates
-with its traceback.  A reader that closes stdout early (`| head`) ends the
-command quietly, with the exit code it computed.
+with its traceback.  A reader that closes stdout or stderr early (`| head`)
+ends the command quietly, with the exit code it computed.
 
 Each cmd_* handler builds its JSON result and its human lines from the
 library's values, which carry no JSON of their own, so this module alone
 defines the output format.  It returns data: (exit code, JSON result,
 human lines), the lines as a zero-argument function so that they are
 formatted only when printed.  main alone writes the result and the error
-message, and _write is the one writer to stdout, for them and the help;
-the one other write is verify's notice on stderr when a sweep starts
+message.  _write is the one writer to either stream: to stdout for the
+result, the --json error envelope and the help, and to stderr for the
+error message, the usage errors and verify's notice when a sweep starts
 below its rule's first t, printed on every such call.  main keeps no
 state between calls, so it may be called repeatedly in one process.
 
@@ -108,8 +109,8 @@ def cmd_reduce(args):
 def cmd_verify(args):
     report = verify_prop(args.prop, args.t_min, args.t_max)
     if report.below_stated_range:
-        print(f"warning: rule {report.prop_id} is stated for t >= "
-              f"{report.stated_from}, got t_min={report.t_min}", file=sys.stderr)
+        _write(f"warning: rule {report.prop_id} is stated for t >= "
+               f"{report.stated_from}, got t_min={report.t_min}", sys.stderr)
     code = EXIT_OK if report.clean else EXIT_EXCEPTIONS
     result = {
         "prop": report.prop_id,
@@ -213,14 +214,15 @@ def _help(command: str | None):
         _, _, flags, valued, summary = _COMMANDS[command]
         lines = [summary]
         options |= {f"{o} {_metavar(o)}": text for o, text in valued.items()} | flags
-    _write("\n".join([_usage(command), "", *lines, "", "options:", *_rows(options)]))
+    _write("\n".join([_usage(command), "", *lines, "", "options:", *_rows(options)]),
+           sys.stdout)
     raise SystemExit(EXIT_OK)
 
 
 def _fail(command: str | None, reason: str):
     """Print the usage and the reason on stderr, then exit 2."""
     prog = "rdnorm" if command is None else f"rdnorm {command}"
-    print(f"{_usage(command)}\n{prog}: error: {reason}", file=sys.stderr)
+    _write(f"{_usage(command)}\n{prog}: error: {reason}", sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
 
@@ -360,18 +362,19 @@ def _dumps(obj, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
 
 
-def _write(text: str) -> None:
-    """Print text on stdout, the one way this module writes there."""
+def _write(text: str, stream) -> None:
+    """Print text on stream, the one way this module writes to stdout or
+    stderr."""
     try:
-        print(text)
-        sys.stdout.flush()
+        print(text, file=stream)
+        stream.flush()
     except BrokenPipeError:
-        # The reader closed stdout early (`| head`): not a failure.
+        # The reader closed the stream early (`| head`): not a failure.
         # Point the fd at devnull so the interpreter's last flush of
         # what is still buffered stays silent.
         import os
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -388,13 +391,14 @@ def main(argv: list[str] | None = None) -> int:
             text = _dumps({"command": args.command, "ok": True, "result": result})
         else:
             text = "\n".join(human())
-        _write(text)
+        _write(text, sys.stdout)
         return code
     except DomainError as exc:
         if args.json:
             error = {"code": "domain-error", "message": str(exc)}
-            _write(_dumps({"command": args.command, "ok": False, "error": error}))
-        print(f"error: {exc}", file=sys.stderr)
+            _write(_dumps({"command": args.command, "ok": False, "error": error}),
+                   sys.stdout)
+        _write(f"error: {exc}", sys.stderr)
         return EXIT_USAGE
     finally:
         set_limit(limit)

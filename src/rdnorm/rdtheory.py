@@ -160,20 +160,16 @@ class VerificationReport(Record):
         return self.t_min < self.stated_from
 
 
-def _associate(x: tuple[int, int], y: tuple[int, int], m: int) -> bool:
+def _associate(x: tuple[int, int], y: tuple[int, int], m: int, n: int) -> bool:
     """True iff the nonzero x = a + b*sqrt(m) and y = c + d*sqrt(m), given
-    as int pairs, are associates: x = u*y, u a unit.
+    as int pairs and both of |norm| n, are associates: x = u*y, u a unit.
 
-    With n = |norm(y)|, x/y = x*conj(y)/norm(y).  If x has |norm| n too,
-    x/y has norm +-1, so it is a unit exactly when it lies in Z[sqrt(m)],
-    that is when n divides both coefficients of x*conj(y), which are
-    a*c - m*b*d and b*c - a*d.  Associates have equal |norm|, so the norms
-    are compared first, which settles most pairs without the product.
+    x/y = x*conj(y)/norm(y) has norm +-1, so it is a unit exactly when it
+    lies in Z[sqrt(m)], that is when n divides both coefficients of
+    x*conj(y), which are a*c - m*b*d and b*c - a*d.  The caller compares
+    the norms: associates have equal |norm|.
     """
     (a, b), (c, d) = x, y
-    n = abs(c * c - m * d * d)
-    if abs(a * a - m * b * b) != n:
-        return False
     return (a * c - m * b * d) % n == 0 and (b * c - a * d) % n == 0
 
 
@@ -195,7 +191,7 @@ def _verify_single_t(cls: NormClassifier) -> list[Counterexample]:
         gens.setdefault(abs(g.norm()), []).append((g.a, g.b))
     return [Counterexample(t, n, *rep)
             for n, reps in table.items() for rep in reps
-            if n not in gens or not any(_associate(rep, g, m) for g in gens[n])]
+            if n not in gens or not any(_associate(rep, g, m, n) for g in gens[n])]
 
 
 def verify_prop(prop_id: str, t_min: int, t_max: int) -> VerificationReport:

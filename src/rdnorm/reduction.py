@@ -4,8 +4,9 @@ Every nonzero xi has a unique associate +-xi*eps**j that is positive and
 lies in [c, c*eps) with c = sqrt(n/eps), n = |norm(xi)|.  One routine,
 _window_reps, decides that window for the whole package, on int pairs:
 for a, b >= 0 the elements a + b*sqrt(m) and |a - b*sqrt(m)| multiply to
-n, so one exact sign says which of them lie in it.  The solver hands it
-all its hits at once; reduce_window and reduce_half hand it one element.
+n, so one exact sign says which of them lie in it.  It takes the norm n
+its caller holds and the hits of that norm: the solver hands it one norm's
+hits at a time, reduce_window and reduce_half one element.
 The exponent j is guessed from floating-point logarithms.  eps**j is
 computed exactly, but the product alpha*eps**j with alpha = |xi|, which
 is small once j is right, is read from the low bits of the coefficients
@@ -61,14 +62,13 @@ def _check_reducer(eps: QuadInt, m: int) -> None:
 
 
 def _window_reps(
-    m: int, eps: QuadInt, hits: dict[int, list[tuple[int, int]]]
-) -> dict[int, list[tuple[int, int]]]:
-    """The canonical reps of the hits, as int pairs (x, y) for
-    x + y*sqrt(m): each n, ascending, maps to the elements |+-a + b*sqrt(m)|
-    over its hits (a, b) that lie in the window of norm n; an n with none
-    has no key.  Each n's hits must have a, b >= 0 and come in ascending
-    (b, a) order; its reps then come in the order of the key
-    (|y|, |x|, -sgn(y), -sgn(x)), with no sort.
+    m: int, eps: QuadInt, n: int, hits: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The canonical reps of the hits of norm n, as int pairs (x, y) for
+    x + y*sqrt(m): the elements |+-a + b*sqrt(m)| over the hits (a, b) that
+    lie in the window of norm n, or [] when none does.  The hits must have
+    a, b >= 0 and come in ascending (b, a) order; the reps then come in the
+    order of the key (|y|, |x|, -sgn(y), -sgn(x)), with no sort.
 
     For a, b > 0 the two elements are alpha = a + b*sqrt(m) and
     |beta| = s*(a - b*sqrt(m)), s the sign of a**2 - m*b**2, with
@@ -81,22 +81,18 @@ def _window_reps(
     """
     e, f = eps.a, eps.b
     mf = m * f
-    table = {}
-    for n in sorted(hits):
-        reps = []
-        for a, b in hits[n]:
-            if not a or not b:
-                reps.append((a, b))
-                continue
-            s = 1 if a * a > m * b * b else -1
-            c = sign_ab(s * (a * e - b * mf) - a, s * (a * f - b * e) - b, m)
-            if c > 0:
-                reps.append((a, b))
-            if c >= 0:
-                reps.append((a, -b) if s > 0 else (-a, b))
-        if reps:
-            table[n] = reps
-    return table
+    reps = []
+    for a, b in hits:
+        if not a or not b:
+            reps.append((a, b))
+            continue
+        s = 1 if a * a > m * b * b else -1
+        c = sign_ab(s * (a * e - b * mf) - a, s * (a * f - b * e) - b, m)
+        if c > 0:
+            reps.append((a, b))
+        if c >= 0:
+            reps.append((a, -b) if s > 0 else (-a, b))
+    return reps
 
 
 def _log_abs_sum(a: int, b: int, m: int) -> float:
@@ -193,7 +189,7 @@ def reduce_window(xi: QuadInt, eps: QuadInt) -> ReductionResult:
         k = (n.bit_length() + 5 * e.bit_length() + 6) // 2 + 1
         # eps**j has norm s**j
         a, b = _small_product(a, b, big_e, big_f, m, s ** (j & 1), k)
-    while (a, b) not in _window_reps(m, eps, {n: [(abs(a), abs(b))]}).get(n, ()):
+    while (a, b) not in _window_reps(m, eps, n, [(abs(a), abs(b))]):
         if a > 0 and b > 0:  # the larger of its pair: above the window
             a, b = s * (a * e - m * b * f), s * (b * e - a * f)
             j -= 1
@@ -228,12 +224,12 @@ def reduce_half(
         raise DomainError("delta**2 != 2*eps")
 
     res = reduce_window(xi, eps)
-    j, alpha, nn = res.j, res.alpha, res.n * res.n
+    j, alpha = res.j, res.alpha
     sa, sb = square_ab(alpha.a, alpha.b, eps.m)
-    if (sa, sb) in _window_reps(eps.m, eps, {nn: [(sa, abs(sb))]}).get(nn, ()):
+    if (sa, sb) in _window_reps(eps.m, eps, res.n * res.n, [(sa, abs(sb))]):
         return res, "direct"
     if sb > 0:  # alpha**2 above its window: alpha above the half window
         alpha = alpha * unit_inverse(eps)
         j -= 1
-    alpha = alpha * delta
-    return ReductionResult(j, alpha, abs(alpha.norm())), "delta-multiplied"
+    # norm(delta) = t**2 - m = -2
+    return ReductionResult(j, alpha * delta, 2 * res.n), "delta-multiplied"

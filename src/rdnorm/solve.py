@@ -8,11 +8,11 @@ numpy; the pure-Python path is the reference.
 A sweep over every n below some N instead walks, in one pass, each b from 1
 up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
 buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
-Both hand their hits to reduction._window_reps, the package's one window
-test, which picks the reps on plain ints: one exact sign per hit decides
-which of a + b*sqrt(m) and |a - b*sqrt(m)| lie in the window.  solve_norm
-wraps the reps it returns into QuadInts; a sweep's table stays on int
-pairs.
+Both hand each norm's hits to reduction._window_reps, the package's one
+window test, one call per norm, which picks the reps on plain ints: one
+exact sign per hit decides which of a + b*sqrt(m) and |a - b*sqrt(m)| lie
+in the window.  solve_norm wraps the reps it returns into QuadInts; a
+sweep's table stays on int pairs.
 """
 
 from __future__ import annotations
@@ -140,10 +140,11 @@ def _norm_table(
 
     Walks each b from 1 up to the bound for N - 1 and the few a with
     |a**2 - m*b**2| < N; hits past the bound of their own n are never in
-    the window.  A hit is collected only if keep(n) holds, and all of them
-    go to one _window_reps call.  Maps n, ascending, to exactly the reps of
-    solve_norm(m, n, eps=eps) with b != 0, as (x, y) int pairs in the same
-    order; an n without them has no key, nor has one with keep(n) false.
+    the window.  A hit is collected only if keep(n) holds, and each n's
+    hits go to one _window_reps call.  Maps n, ascending, to exactly the
+    reps of solve_norm(m, n, eps=eps) with b != 0, as (x, y) int pairs in
+    the same order; an n without them has no key, nor has one with keep(n)
+    false.
     Row b = 0 holds only the integer reps of the squares, which no sweep
     reads.
     """
@@ -154,7 +155,7 @@ def _norm_table(
             n = abs(a * a - v)
             if n < N and keep(n):  # n > 0: m is no square
                 hits.setdefault(n, []).append((a, b))
-    return _window_reps(m, eps, hits)
+    return {n: reps for n in sorted(hits) if (reps := _window_reps(m, eps, n, hits[n]))}
 
 
 class SolutionSet(Record):
@@ -188,7 +189,7 @@ def solve_norm(
     hits = [(a, b) for a, b in _scan(m, n, b_bound)
             if not primitive_only or gcd(a, b) == 1]
     hits.sort(key=itemgetter(1, 0))
-    reps = _window_reps(m, eps, {n: hits}).get(n, ())
+    reps = _window_reps(m, eps, n, hits)
     return SolutionSet(m=m, n=n, eps=eps,
                        reps=tuple(QuadInt(x, y, m) for x, y in reps))
 

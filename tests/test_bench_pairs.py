@@ -87,11 +87,30 @@ def test_regressed_is_worse_than_the_bound(better, change, regressed):
     assert entry["regressed"] is regressed
 
 
+@pytest.mark.parametrize("better, parent, change, unresolved", [
+    # parent median 1.0 and IQR 0.5 against a bound of 0.2: too wide to tell
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.8, 1.0, 1.1, 0.9, 1.0], True),
+    # as wide, but every change run beats every parent run
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.4, 0.3, 0.45, 0.35, 0.4], False),
+    ("higher", [0.5, 0.75, 1.0, 1.25, 1.5], [1.6, 1.7, 2.0, 1.8, 1.9], False),
+    # IQR 0.1, inside the bound, even with overlapping runs
+    ("lower", [0.9, 0.95, 1.0, 1.05, 1.1], [1.0, 1.05, 0.9, 1.1, 0.95], False),
+])
+def test_unresolved_is_a_parent_spread_wider_than_the_bound(better, parent, change,
+                                                            unresolved):
+    pairs = [({"x": p}, {"x": c}) for p, c in zip(parent, change)]
+    entry = bench_pairs.summarize(pairs, {"x": better}, {"x": 0.2})["x"]
+    assert entry["regressed"] is False
+    assert entry["unresolved"] is unresolved
+
+
 def test_metric_without_a_bound_gets_no_flag():
     summary = bench_pairs.summarize(pairs(), BETTER, {"op_p90_ms": 0.25})
     assert summary["op_p90_ms"]["regressed"] is False
     assert "regressed" not in summary["ok_ops_per_s"]
     assert "regressed" not in summary["mystery"]
+    assert summary["op_p90_ms"]["unresolved"] is False
+    assert "unresolved" not in summary["ok_ops_per_s"]
 
 
 STUB_RUN = """\

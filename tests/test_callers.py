@@ -13,8 +13,8 @@ they gain one or leave:
   the shapes a derived rule ranges over (it builds RDForm);
 - rd_unit: the closed-form unit for r in {1, -1, 2, -2}, for use where it
   is proven fundamental;
-- reduce_half: the paper's half-window reduction for m = t**2 + 2, held to
-  acceptance criterion 10.
+- reduce_half: the paper's half-window reduction for m = t**2 + 2, held by
+  tests/test_reduction.py::TestReduceHalf.
 """
 
 import ast

@@ -454,6 +454,25 @@ class TestInvocation:
         assert b"Traceback" not in proc.stderr
         assert proc.returncode == code
 
+    @pytest.mark.parametrize("argv, code", [
+        (["unit", "4"], EXIT_USAGE),
+        (["unit", "4", "--json"], EXIT_USAGE),
+        (["bogus"], EXIT_USAGE),
+        (["verify", "2.5", "--t-min", "5", "--t-max", "5"], EXIT_OK),  # a notice
+    ], ids=["domain-error", "domain-error-json", "usage-error", "verify-notice"])
+    def test_closed_stderr_keeps_the_exit_code(self, argv, code):
+        # Each argv writes to stderr; its read end is closed before the
+        # child starts, so the exit code must be the one an open stderr gives.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rdnorm", *argv],
+                                  stdout=subprocess.DEVNULL, stderr=write_end,
+                                  env=child_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+
     def test_json_is_single_document(self, capsys):
         _, out, _ = run(capsys, "solve", "10", "6", "--json")
         json.loads(out)  # raises if more than one document

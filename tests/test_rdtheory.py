@@ -235,7 +235,8 @@ class TestVerifyProp:
     def test_rule_26_work_counts(self, monkeypatch, t):
         """With the unit cached, a sweep builds no QuadInt but rule 2.6's
         14 generators per t, none for rules 2.3-2.5, and _associate meets
-        only rep-generator pairs of equal |norm|."""
+        only rep-generator pairs whose |norms| both equal the n it is
+        passed."""
         wants = {prop_id: verify_prop(prop_id, t, t) for prop_id in PROP_IDS}
         built = 0
         init = QuadInt.__init__
@@ -248,11 +249,11 @@ class TestVerifyProp:
         pairs = 0
         associate = rdtheory._associate
 
-        def checked_associate(x, y, m):
+        def checked_associate(x, y, m, n):
             nonlocal pairs
             pairs += 1
-            assert abs(x[0] ** 2 - m * x[1] ** 2) == abs(y[0] ** 2 - m * y[1] ** 2), (x, y)
-            return associate(x, y, m)
+            assert abs(x[0] ** 2 - m * x[1] ** 2) == abs(y[0] ** 2 - m * y[1] ** 2) == n, (x, y)
+            return associate(x, y, m, n)
 
         monkeypatch.setattr(QuadInt, "__init__", counting_init)
         monkeypatch.setattr(rdtheory, "_associate", checked_associate)
@@ -289,8 +290,10 @@ class TestVerifyProp:
 
 
 def associate(x, y):
-    """rdtheory._associate, which takes int pairs, on QuadInts."""
-    return _associate((x.a, x.b), (y.a, y.b), x.m)
+    """rdtheory._associate, which takes int pairs of one |norm|, on
+    QuadInts of any norms: associates have equal |norm|."""
+    n = abs(y.norm())
+    return abs(x.norm()) == n and _associate((x.a, x.b), (y.a, y.b), x.m, n)
 
 
 class TestAssociate:

@@ -26,7 +26,7 @@ def in_window(alpha, eps, n):
     positive alpha, for a QuadInt whose |norm| is n."""
     assert abs(alpha.norm()) == n
     a, b = alpha.a, alpha.b
-    return (a, b) in _window_reps(eps.m, eps, {n: [(abs(a), abs(b))]}).get(n, ())
+    return (a, b) in _window_reps(eps.m, eps, n, [(abs(a), abs(b))])
 
 
 def unit_power(eps, k):

@@ -438,7 +438,7 @@ class TestOrbitsDifferential:
                 for prim in (False, True):
                     ok = [h for h in hits if not prim or gcd(*h) == 1]
                     kept = by_row(h for h in ok if h[1] <= b_max)
-                    got = _window_reps(m, eps, {n: kept}).get(n, [])
+                    got = _window_reps(m, eps, n, kept)
                     assert got == reduce_then_dedup(m, eps, ok), (m, n, prim)
                     square_b0 += any(y == 0 and x > 1 for x, y in got)
         assert norms == {1, -1}

@@ -24,9 +24,12 @@ median is better than the parent's by more than the parent's
 interquartile range; ``claim_holds`` records that test.  An end-to-end
 metric also gets ``regressed``: the change's median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, read as a
-fraction of the parent's median; per-layer metrics have no bound and get
-no flag.  A run that exits nonzero or reports ``correct: false`` stops the
-script with exit code 1.
+fraction of the parent's median, and ``unresolved``: the parent's
+interquartile range exceeds that same fraction of its median, so the runs
+spread too widely to tell a regression from noise, unless every run of the
+change beats every run of the parent.  Per-layer metrics have no bound and
+get neither flag.  A run that exits nonzero or reports ``correct: false``
+stops the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     better maps a metric to "lower" or "higher"; a metric without a
     direction gets its quartiles but no wins and no claim.  bounds maps a
     metric with a direction to the fraction of the parent's median by
-    which the change's may be worse before it counts as regressed.
+    which the change's may be worse before it counts as regressed; the
+    same fraction bounds the parent's interquartile range, past which the
+    metric is unresolved unless the two sides' runs do not overlap.
     """
     summary = {}
     for name in pairs[0][0]:
@@ -75,7 +80,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
             entry.update(better=direction, wins=wins, pairs=len(pairs),
                          claim_holds=10 * wins >= 9 * len(pairs) and gain > iqr)
             if bounds and name in bounds:
-                entry["regressed"] = -gain > bounds[name] * abs(entry["parent"]["median"])
+                limit = bounds[name] * abs(entry["parent"]["median"])
+                separated = min(sign * p for p in parent) > max(sign * c for c in change)
+                entry["regressed"] = -gain > limit
+                entry["unresolved"] = iqr > limit and not separated
         summary[name] = entry
     return summary
 
@@ -143,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
                           f" change {entry['change']['median']:<11.6g}"
                           f" wins {entry['wins']}/{entry['pairs']}"
                           f" claim_holds {entry['claim_holds']}"
-                          + (f" regressed {entry['regressed']}" if "regressed" in entry else ""),
+                          + (f" unresolved {entry['unresolved']} regressed {entry['regressed']}"
+                             if "regressed" in entry else ""),
                           flush=True)
         path = os.path.join(args.out_dir, f"BENCH_{workload}.json")
         with open(path, "w") as f:
