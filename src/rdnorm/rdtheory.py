@@ -282,7 +282,9 @@ class Witness(Record):
 def class_number_witness(l: int, q: int) -> Witness:
     """Assemble the nontriviality certificate for t = 2*l*q, m = t**2 + 1.
 
-    The solver confirms both n = 4q and n = q unrepresentable; the n = q
+    The solver confirms both n = 4q and n = q unrepresentable, by one odd
+    prime's obstruction where its trial division finds one (an odd prime
+    p | m with q no square mod p) and otherwise by its scan; the n = q
     branch closes the descent case where x and y are both even.  An
     element of norm +-q doubles to one of norm +-4q, so the first check
     implies the second, and n = q is solved only when n = 4q has

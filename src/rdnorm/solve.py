@@ -5,6 +5,12 @@ window representative a + b*sqrt(m) with |b| <= B, so it suffices to
 square-test m*b**2 +- n for b in [0, B] and keep the hits that lie in the
 window.  For large B the square-testing is done with a residue sieve and
 numpy; the pure-Python path is the reference.
+Before any of that, one odd prime may prove the equation unsolvable
+(_locally_empty): m a non-residue mod a prime dividing n to an odd power,
+or n a non-residue mod a prime p = 1 mod 4 dividing m.  solve_norm then
+returns no reps without bounding or scanning.  An equation that no such
+prime decides, solvable or ruled out only at 2 or modulo a prime power,
+still scans to B, which grows with the unit.
 A sweep over every n below some N instead walks, in one pass, each b from 1
 up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
 buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
@@ -17,7 +23,7 @@ sweep's table stays on int pairs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import cache
 from math import gcd, isqrt
 from operator import itemgetter
@@ -130,6 +136,57 @@ def _scan(m: int, n: int, b_max: int) -> list[tuple[int, int]]:
     return _scan_py(m, n, b_max)
 
 
+# -- local obstructions ------------------------------------------------------
+
+# The odd primes below 2**8, by which _odd_factors trial-divides.  A
+# cofactor below 2**16 that none of them divides is 1 or a prime.
+_ODD_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+    157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233,
+    239, 241, 251,
+)
+_PROVEN_PRIME_BELOW = 2**16
+
+
+def _odd_factors(k: int) -> Iterator[tuple[int, int]]:
+    """(p, v_p(k)) for the odd primes p of k >= 1 below 2**8, ascending,
+    then (c, 1) if the cofactor c they leave is a prime below 2**16."""
+    k >>= (k & -k).bit_length() - 1
+    for p in _ODD_PRIMES:
+        if k < p * p:  # k is 1 or a prime
+            break
+        if k % p == 0:
+            e = 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            yield p, e
+    if 1 < k < _PROVEN_PRIME_BELOW:
+        yield k, 1
+
+
+def _nonresidue(a: int, p: int) -> bool:
+    """Euler's criterion: a is no square mod the odd prime p, p not | a."""
+    return pow(a, p >> 1, p) == p - 1
+
+
+def _locally_empty(m: int, n: int) -> bool:
+    """True only if one odd prime p proves x**2 - m*y**2 = +-n unsolvable.
+
+    Either p does not divide m, m is no square mod p and v_p(n) is odd
+    (p | x**2 - m*y**2 forces p | y, then p | x, so every norm has even
+    v_p), or p divides m, p = 1 mod 4 and n is no square mod p (then
+    neither x**2 = n nor x**2 = -n has a root mod p, as -1 is a square mod
+    p).  The primes tried are those _odd_factors finds in n and in m.
+    False proves nothing; the tests at 2 and modulo p**k are not made.
+    """
+    return any(e % 2 and m % p and _nonresidue(m, p)
+               for p, e in _odd_factors(n)) or any(
+        p % 4 == 1 and n % p and _nonresidue(n, p)
+        for p, _ in _odd_factors(m))
+
+
 # -- solution sets -----------------------------------------------------------
 
 
@@ -185,6 +242,10 @@ def solve_norm(
         raise DomainError("n must be positive")
     if eps is None:
         eps = fundamental_unit(m)
+    else:  # coeff_bounds checks it again, but may not run
+        _check_reducer(eps, m)
+    if _locally_empty(m, n):  # before coeff_bounds: no bound, no scan
+        return SolutionSet(m=m, n=n, eps=eps, reps=())
     _, b_bound = coeff_bounds(m, n, eps)
     hits = [(a, b) for a, b in _scan(m, n, b_bound)
             if not primitive_only or gcd(a, b) == 1]

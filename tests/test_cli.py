@@ -126,6 +126,15 @@ class TestSolve:
         _, prim, _ = run_json(capsys, "solve", "10", "36", "--primitive")
         assert full["result"]["count"] > prim["result"]["count"] == 0
 
+    def test_prime_obstruction_answers_before_the_scan(self):
+        # the scan bound is 2**162 here; 181 | 905 proves the set empty
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdnorm", "solve", "15214", "905", "--json"],
+            capture_output=True, text=True, timeout=5, env=child_env(),
+        )
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["result"]["count"] == 0
+
 
 class TestReduce:
     def test_already_reduced_roundtrip(self, capsys):

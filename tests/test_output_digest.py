@@ -98,3 +98,28 @@ def test_no_plain_rerun_after_a_timeout(tmp_path):
     ops = [" ".join(op["argv"]) for op in make_ops("solve", 31, 20)]
     assert runs[:3] == [ops[0], ops[1], ops[1].removesuffix(" --json")]
     assert len(runs) == 2 * 140 - 1
+
+
+def test_per_op_listing(tmp_path):
+    listings = {}
+    for human, hang in (("human", False), ("other", True)):
+        stub_root(tmp_path / human, human, hang=hang)
+        proc = digest("--workload", "solve", "--seed", "31", "--per-op",
+                      "--root", str(tmp_path / human))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        listings[human] = [line.split() for line in proc.stdout.splitlines()]
+    calm, hung = listings["human"], listings["other"]
+    # one line per op, then the line a run without --per-op prints
+    assert len(calm) == len(hung) == 141
+    plain = digest("--workload", "solve", "--seed", "31",
+                   "--root", str(tmp_path / "human"))
+    assert calm[-1] == plain.stdout.split()
+    assert calm[-1][2:4] == ["140", "0"] and hung[-1][2:4] == ["140", "1"]
+    assert [row[0] for row in calm[:-1]] == [str(i) for i in range(140)]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", row[2]) for row in calm[:-1])
+    # the hung op has no plain run; every other op prints the same --json
+    # bytes on both roots, and only its plain hash moves
+    assert hung[0][1] == "timeout" and hung[0][3:] == ["-", "-"]
+    for a, b in zip(calm[1:-1], hung[1:-1]):
+        assert a[1] == b[1] == a[3] == b[3] == "ok"
+        assert a[2] == b[2] and a[4] != b[4]

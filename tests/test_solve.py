@@ -17,10 +17,12 @@ from rdnorm import (
     rd_unit,
     solve_norm,
 )
+from rdnorm import solve as solve_mod
 from rdnorm.rdtheory import PROP_IDS
 from rdnorm.reduction import _window_reps
 from rdnorm.solve import (
     _NUMPY_CUTOFF,
+    _locally_empty,
     _norm_table,
     _scan_np,
     _scan_py,
@@ -165,6 +167,10 @@ class TestSolveNorm:
             solve_norm(79, 15, eps=fundamental_unit(2))
         with pytest.raises(ValueError):
             is_representable(79, 15, eps=fundamental_unit(2))
+        # also where one prime proves the set empty before any bound
+        assert _locally_empty(79, 11)
+        with pytest.raises(ValueError):
+            solve_norm(79, 11, eps=fundamental_unit(2))
 
     def test_conjugate_symmetry(self):
         for n in (1, 6, 9, 10, 15, 41):
@@ -176,6 +182,89 @@ class TestSolveNorm:
             for r in sols.reps:
                 c = canonical_rep(r.conj(), eps)
                 assert (c.a, c.b) in got
+
+
+def proving_primes(m, n):
+    """The odd primes that prove |x**2 - m*y**2| = n unsolvable by the
+    lemma of _locally_empty, from sympy's full factorisations of n and m."""
+    from sympy import factorint, legendre_symbol
+
+    first = {p for p, k in factorint(n).items()
+             if p > 2 and k % 2 and m % p and legendre_symbol(m % p, p) == -1}
+    second = {p for p in factorint(m)
+              if p % 4 == 1 and n % p and legendre_symbol(n % p, p) == -1}
+    return first | second
+
+
+def assert_unsolvable(pairs):
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for m, n in pairs:
+        assert diop_DN(m, n) == diop_DN(m, -n) == [], (m, n)
+
+
+class TestLocallyEmpty:
+    """_locally_empty claims an equation empty only on one odd prime's
+    proof, and solve_norm asks it before it bounds the scan."""
+
+    def test_criterion_3_grid_against_diop_dn(self):
+        grid = [(m, n) for m in range(2, 401) if not is_square(m)
+                for n in range(1, 101)]
+        empty = [(m, n) for m, n in grid if _locally_empty(m, n)]
+        assert len(empty) >= 0.4 * len(grid)  # 21 165 of 38 000
+        # diop_DN takes about 2 ms a pair here, so it checks every 8th
+        # claim; test_criterion_03_oracle_equivalence checks every grid pair
+        # against an exhaustive scan.
+        assert_unsolvable(empty[::8])
+
+    def test_random_draws_against_factorisation_and_diop_dn(self):
+        rng = random.Random(7)
+        draws = []
+        while len(draws) < 2000:
+            m, n = rng.randrange(2, 10**6), rng.randrange(1, 10**5)
+            if not is_square(m):
+                draws.append((m, n))
+        empty = []
+        for m, n in draws:
+            primes = proving_primes(m, n)
+            claimed = _locally_empty(m, n)
+            # a claim needs a proving prime, and one below 2**8 is found
+            assert claimed <= bool(primes), (m, n)
+            assert claimed or min(primes, default=2**8) >= 2**8, (m, n)
+            if claimed:
+                empty.append((m, n))
+        assert len(empty) >= 0.6 * len(draws)  # 1568 of 2000
+        # diop_DN walks long periods here, up to seconds a pair
+        assert_unsolvable(empty[::40])
+
+    def test_trial_division_limits(self):
+        # Each case names every prime that proves it (proving_primes).
+        # 65521 is the largest prime below 2**16, and the cofactor it
+        # leaves is used; 65537, the smallest prime above, is not.
+        assert _locally_empty(23, 65521)  # 65521 | n
+        assert _locally_empty(65521, 257 * 263)  # 65521 | m; 257 too large
+        assert not _locally_empty(3, 65537)  # 65537 | n
+        assert not _locally_empty(65537, 257 * 271)  # 65537 | m; 271 too
+        # cofactors 257*263 and 65537*65539 are not known prime, so none of
+        # the four factors, although each proves these, is found
+        assert not _locally_empty(7, 257 * 263)
+        assert not _locally_empty(3, 65537 * 65539)
+        assert not _locally_empty(257 * 263, 3)  # 257 | m
+        assert len(solve_norm(7, 257 * 263)) == 0  # the scan says so
+        # a factor found before an unproven cofactor still proves it
+        assert _locally_empty(19, 7 * 257 * 263)  # 7, 257, 263 | n
+        assert _locally_empty(13 * 257 * 263, 7)  # 13, 257 | m
+
+    def test_proof_comes_before_the_scan_bound(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bounded or scanned")
+
+        monkeypatch.setattr(solve_mod, "coeff_bounds", refuse)
+        monkeypatch.setattr(solve_mod, "_scan", refuse)
+        # scan bounds of 162 and 91 bits
+        for m, n in ((15214, 905), (6043, 772)):
+            assert solve_norm(m, n).reps == ()
+            assert not is_representable(m, n)
 
 
 class TestIsRepresentable:

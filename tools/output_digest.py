@@ -3,6 +3,7 @@
 Usage, from a checkout's root:
 
     python3 tools/output_digest.py --workload solve --seed 31
+    python3 tools/output_digest.py --workload solve --seed 31 --per-op
 
 Builds the op list of ``perfbench/workloads.make_ops(workload, seed, 20)``,
 20 s being ``perfbench/run.py``'s default run length, and runs each argv
@@ -15,11 +16,16 @@ path, so each op runs a second time, right after the first, with
 each hash taken over argv, stdout, stderr (its last 2000 characters, as
 child.py keeps them), status and exit code of every run of its form, and
 the timeouts counted over both forms.  Two checkouts whose lines match
-print the same bytes for every op in both forms; ``--root`` runs another
-checkout's ``src`` without copying this script there.  When ``rdnorm``
-does not come from ``<root>/src/rdnorm`` (a mistyped ``--root`` falls back
-to any ``rdnorm`` on the path, such as ``PYTHONPATH=src``'s), it prints
-one error line on stderr and exits 1 without a digest.
+print the same bytes for every op in both forms.  With ``--per-op`` that
+line comes last, after one line per op, ``<index> <status --json>
+<sha256 --json> <status plain> <sha256 plain>``, each sha256 taken over
+that run's record alone (``-`` for a plain run skipped after a timeout);
+``diff`` of two such listings names each op whose output moved.
+``--root`` runs another checkout's ``src`` without copying this script
+there.  When ``rdnorm`` does not come from ``<root>/src/rdnorm`` (a
+mistyped ``--root`` falls back to any ``rdnorm`` on the path, such as
+``PYTHONPATH=src``'s), it prints one error line on stderr and exits 1
+without a digest.
 
 An op's status depends on the machine's speed as well as on the code: an
 op that ends near the 2 s deadline on one run may time out on a loaded
@@ -49,6 +55,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--root", default=HERE,
                         help="checkout whose src/rdnorm runs the ops")
+    parser.add_argument("--per-op", action="store_true",
+                        help="also print one line per op before the digests")
     args = parser.parse_args()
 
     root = os.path.abspath(args.root)
@@ -70,18 +78,24 @@ def main() -> int:
     ops = make_ops(args.workload, args.seed, RUN_SECONDS)
     timeouts = 0
 
-    def run(argv, digest) -> bool:
-        """Run argv into digest; True unless it timed out."""
+    def run(argv, digest) -> tuple[str, str]:
+        """Run argv into digest; its status and the sha256 of its record."""
         nonlocal timeouts
         r = run_op(rdnorm.cli, argv, DEADLINE_S)
         timeouts += r["status"] == "timeout"
         record = [argv, r["stdout"], r["stderr"], r["status"], r["code"]]
-        digest.update(json.dumps(record).encode() + b"\n")
-        return r["status"] != "timeout"
+        line = json.dumps(record).encode() + b"\n"
+        digest.update(line)
+        return r["status"], hashlib.sha256(line).hexdigest()
 
-    for op in ops:
-        if run(op["argv"], json_form):
-            run([arg for arg in op["argv"] if arg != "--json"], plain_form)
+    for i, op in enumerate(ops):
+        json_run = run(op["argv"], json_form)
+        plain_run = ("-", "-")
+        if json_run[0] != "timeout":
+            plain_run = run([arg for arg in op["argv"] if arg != "--json"],
+                            plain_form)
+        if args.per_op:
+            print(i, *json_run, *plain_run)
     print(args.workload, args.seed, len(ops), timeouts,
           json_form.hexdigest(), plain_form.hexdigest())
     return 0
