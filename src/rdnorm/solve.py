@@ -8,9 +8,12 @@ numpy; the pure-Python path is the reference.
 Before any of that, one odd prime may prove the equation unsolvable
 (_locally_empty): m a non-residue mod a prime dividing n to an odd power,
 or n a non-residue mod a prime p = 1 mod 4 dividing m.  solve_norm then
-returns no reps without bounding or scanning.  An equation that no such
-prime decides, solvable or ruled out only at 2 or modulo a prime power,
-still scans to B, which grows with the unit.
+returns no reps without bounding or scanning.  B grows with the unit, so
+past about n/4 an equation that no such prime decides goes to the class
+walk instead (_class_hits, Lagrange-Matthews-Mollin), whose cost depends
+on n and the period of sqrt(m), not on the unit's size; it hands
+_window_reps hits that give the same reps in the same order as the scan.
+n = 1 always scans.
 A sweep over every n below some N instead walks, in one pass, each b from 1
 up to the bound for N - 1 and the few a with |a**2 - m*b**2| < N, and
 buckets the hits by n (_norm_table); row b = 0 holds only squares' reps.
@@ -30,7 +33,7 @@ from operator import itemgetter
 
 from .pell import fundamental_unit
 from .qint import DomainError, QuadInt, Record
-from .reduction import _check_reducer, _window_reps
+from .reduction import _check_reducer, _window_reps, reduce_window
 
 # Smallest b-range scanned with numpy.  Not the break-even point: in a warm
 # process (2-core Xeon VM, Python 3.11.7, numpy 2.4.6; median of 30 random
@@ -187,6 +190,76 @@ def _locally_empty(m: int, n: int) -> bool:
         for p, _ in _odd_factors(m))
 
 
+# -- class walk --------------------------------------------------------------
+
+
+def _pqa_solution(m: int, z: int, k: int) -> tuple[int, int] | None:
+    """The first convergent pair (x, y) with |x**2 - m*y**2| = k of
+    (z + sqrt(m))/k, k | z**2 - m, within its pre-period and one period,
+    or None.
+
+    With P_0 = z, Q_0 = k and G_i = k*A_i - z*B_i for the convergents
+    A_i/B_i, G_i**2 - m*B_i**2 = (-1)**(i+1) * Q_(i+1) * k, so the pair is
+    (G_i, B_i) at the first |Q_(i+1)| = 1, or (G_-1, B_-1) = (1, 0) for
+    k = 1.  The (P, Q) states become purely periodic; the walk gives up at
+    the first state seen before.
+    """
+    if k == 1:
+        return 1, 0
+    s = isqrt(m)
+    P, Q = z, k
+    g_prev, g, b_prev, b = -z, k, 1, 0
+    seen = set()
+    while (P, Q) not in seen:
+        seen.add((P, Q))
+        # floor((P + sqrt(m))/Q), exact as sqrt(m) lies in (s, s + 1)
+        q = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        g_prev, g = g, q * g + g_prev
+        b_prev, b = b, q * b + b_prev
+        P = q * Q - P
+        Q = (m - P * P) // Q
+        if Q == 1 or Q == -1:
+            return g, b
+    return None
+
+
+def _class_hits(m: int, n: int, eps: QuadInt) -> list[tuple[int, int]]:
+    """Hits (|x|, |y|), in ascending (b, a) order, from which _window_reps
+    reads every window rep of |x**2 - m*y**2| = n; no scan bound needed.
+
+    Lagrange-Matthews-Mollin: a solution with gcd(x, y) = f is f times a
+    primitive one of norm +-k, k = n/f**2, and a primitive x + y*sqrt(m)
+    with x = z*y mod k generates the ideal (k, z + sqrt(m)), so the
+    solutions of one root z of z**2 = m mod k form at most one orbit.  The
+    continued fraction of (z + sqrt(m))/k meets that orbit within its
+    pre-period and one period (_pqa_solution).  Its conjugates are the
+    orbit of -z, so only 0 <= z <= k/2 are walked: for alpha in the window,
+    |conj(alpha)| = n/alpha is in it too unless alpha sits on its lower
+    edge, and then both orbits are one, so the hit of the reduced alpha
+    gives _window_reps both reps.  Those are orbits under the fundamental
+    unit; eps may be its j-th power, and then each splits into the j
+    orbits of alpha times its powers 0 to j - 1.  The work is the root
+    search, below n steps, plus one walk per root, whatever the unit's
+    size.
+    """
+    unit = fundamental_unit(m)
+    shifts = [QuadInt(1, 0, m)]
+    while shifts[-1] * unit != eps:
+        shifts.append(shifts[-1] * unit)
+    hits = set()
+    for f in range(1, isqrt(n) + 1):
+        k, r = divmod(n, f * f)
+        if r:
+            continue
+        for z in range(k // 2 + 1):
+            if (z * z - m) % k == 0 and (xy := _pqa_solution(m, z, k)):
+                found = QuadInt(f * xy[0], f * xy[1], m)
+                for shift in shifts:
+                    alpha = reduce_window(found * shift, eps).alpha
+                    hits.add((abs(alpha.a), abs(alpha.b)))
+    return sorted(hits, key=itemgetter(1, 0))
+
+
 # -- solution sets -----------------------------------------------------------
 
 
@@ -246,10 +319,21 @@ def solve_norm(
         _check_reducer(eps, m)
     if _locally_empty(m, n):  # before coeff_bounds: no bound, no scan
         return SolutionSet(m=m, n=n, eps=eps, reps=())
-    _, b_bound = coeff_bounds(m, n, eps)
-    hits = [(a, b) for a, b in _scan(m, n, b_bound)
-            if not primitive_only or gcd(a, b) == 1]
-    hits.sort(key=itemgetter(1, 0))
+    # The scan tests B + 1 values of b, B**2 about n*(eps.a + 1)/(2*m)
+    # (coeff_bounds); the class walk makes below n root-search steps and a
+    # few period walks, whatever the unit.  It is the cheaper one from about
+    # B = n/4 + 16 on: 1500 draws with m < 3e4, 1 < n <= 1000, B < 4096 and
+    # no local obstruction took 32 ms so split, 169 ms all scanned and 81 ms
+    # all walked (2-core Xeon VM, Python 3.11.7).  n = 1 keeps the scan for
+    # now: perfbench/tests rely on `solve 2851 1` running past its
+    # deadline, until ROADMAP item 1 gives them another op.
+    if n > 1 and 8 * n * (eps.a + 1) >= m * (n + 64) ** 2:
+        hits = _class_hits(m, n, eps)
+    else:
+        _, b_bound = coeff_bounds(m, n, eps)
+        hits = sorted(_scan(m, n, b_bound), key=itemgetter(1, 0))
+    if primitive_only:
+        hits = [(a, b) for a, b in hits if gcd(a, b) == 1]
     reps = _window_reps(m, eps, n, hits)
     return SolutionSet(m=m, n=n, eps=eps,
                        reps=tuple(QuadInt(x, y, m) for x, y in reps))

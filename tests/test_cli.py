@@ -135,6 +135,15 @@ class TestSolve:
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["result"]["count"] == 0
 
+    def test_class_walk_answers_past_the_scan(self):
+        # the scan bound is about 2**50 here and no odd prime decides it
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdnorm", "solve", "7364", "980", "--json"],
+            capture_output=True, text=True, timeout=5, env=child_env(),
+        )
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["result"]["count"] == 2
+
 
 class TestReduce:
     def test_already_reduced_roundtrip(self, capsys):

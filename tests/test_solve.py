@@ -22,7 +22,9 @@ from rdnorm.rdtheory import PROP_IDS
 from rdnorm.reduction import _window_reps
 from rdnorm.solve import (
     _NUMPY_CUTOFF,
+    _class_hits,
     _locally_empty,
+    _pqa_solution,
     _norm_table,
     _scan_np,
     _scan_py,
@@ -265,6 +267,129 @@ class TestLocallyEmpty:
         for m, n in ((15214, 905), (6043, 772)):
             assert solve_norm(m, n).reps == ()
             assert not is_representable(m, n)
+
+
+def scanned_reps(m, n, eps, prim):
+    """solve_norm's reps by the scan alone, as int pairs."""
+    hits = sorted(solve_mod._scan(m, n, coeff_bounds(m, n, eps)[1]), key=lambda h: (h[1], h[0]))
+    return _window_reps(m, eps, n, [h for h in hits if not prim or gcd(*h) == 1])
+
+
+def walked_reps(m, n, eps, prim):
+    """solve_norm's reps by the class walk alone, as int pairs."""
+    hits = _class_hits(m, n, eps)
+    return _window_reps(m, eps, n, [h for h in hits if not prim or gcd(*h) == 1])
+
+
+def diop_dn_reps(m, n, eps):
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    reps = set()
+    for rhs in (n, -n):
+        for x, y in diop_DN(m, rhs):
+            r = canonical_rep(QuadInt(int(x), int(y), m), eps)
+            reps.add((r.a, r.b))
+    return reps
+
+
+class TestClassWalk:
+    """_class_hits finds every orbit without a scan bound: the same reps,
+    in the same order, as the scan wherever the scan runs, and diop_DN's
+    where it cannot."""
+
+    # Ops of the solve benchmark's lists (seeds 31 and 61) that no odd prime
+    # decides and whose scan bounds, 2**50 to 2**277, the scan cannot walk:
+    # (m, n, orbits, primitive orbits).
+    HARD = [(7364, 980, 2, 0), (1399, 279, 6, 4), (15206, 782, 0, 0),
+            (4887, 491, 2, 2), (23038, 578, 1, 0), (3284, 740, 8, 4),
+            (12940, 994, 0, 0), (7806, 699, 2, 2), (6134, 653, 2, 2),
+            (13517, 9, 1, 0), (9711, 363, 0, 0)]
+
+    def test_equals_the_scan_on_the_criterion_3_grid(self):
+        walked = nonempty = numpy_scans = 0
+        for m in range(2, 401):
+            if is_square(m):
+                continue
+            eps = fundamental_unit(m)
+            for n in range(2, 101):
+                if _locally_empty(m, n):
+                    continue  # solve_norm never walks these
+                if coeff_bounds(m, n, eps)[1] >= _NUMPY_CUTOFF:
+                    # 1307 pairs, 9 s of sieving in all: every 8th
+                    numpy_scans += 1
+                    if numpy_scans % 8:
+                        continue
+                walked += 1
+                for prim in (False, True):
+                    got = walked_reps(m, n, eps, prim)
+                    assert got == scanned_reps(m, n, eps, prim), (m, n, prim)
+                    nonempty += bool(got)
+        assert walked > 15000 and nonempty > 10000 and numpy_scans > 1000
+
+    def test_equals_the_scan_on_random_draws(self):
+        # the unit is the fundamental one or its square or cube, under
+        # which each orbit splits into two or three
+        rng = random.Random(12)
+        compared, nonempty = {1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 0}
+        while min(compared.values()) < 100:
+            m = int(2 ** rng.uniform(1, 20))
+            n = rng.randrange(2, 10**4)
+            power = rng.randint(1, 3)
+            if is_square(m) or _locally_empty(m, n):
+                continue
+            eps = fundamental_unit(m) ** power
+            if coeff_bounds(m, n, eps)[1] > 2 * 10**5:
+                continue
+            compared[power] += 1
+            got = walked_reps(m, n, eps, False)
+            assert got == scanned_reps(m, n, eps, False), (m, n, power)
+            nonempty[power] += bool(got)
+        assert min(nonempty.values()) > 50  # 102, 78 and 73
+
+    def test_hard_ops_against_diop_dn(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bounded or scanned")
+
+        monkeypatch.setattr(solve_mod, "coeff_bounds", refuse)
+        monkeypatch.setattr(solve_mod, "_scan", refuse)
+        for m, n, count, primitive in self.HARD:
+            eps = fundamental_unit(m)
+            got = solve_norm(m, n, eps=eps)
+            assert {(r.a, r.b) for r in got.reps} == diop_dn_reps(m, n, eps), (m, n)
+            assert len(got) == count, (m, n)
+            prim = solve_norm(m, n, primitive_only=True, eps=eps).reps
+            assert [r for r in got.reps if gcd(r.a, r.b) == 1] == list(prim)
+            assert len(prim) == primitive, (m, n)
+
+    def test_unit_size_does_not_matter(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bounded or scanned")
+
+        monkeypatch.setattr(solve_mod, "coeff_bounds", refuse)
+        monkeypatch.setattr(solve_mod, "_scan", refuse)
+        # the unit of 1000003 has a 821-bit y, so scan bounds near 2**400
+        eps = fundamental_unit(1000003)
+        assert eps.b.bit_length() == 821
+        for n, count in ((3, 2), (7, 0)):  # 1000**2 - 1000003 = -3
+            got = {(r.a, r.b) for r in solve_norm(1000003, n, eps=eps).reps}
+            assert got == diop_dn_reps(1000003, n, eps) and len(got) == count
+
+    def test_n_1_keeps_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(solve_mod, "_class_hits", refuse)
+        for m in (13, 94, 151):  # scan bounds 0, 106 and 2392
+            assert solve_norm(m, 1).reps == (QuadInt(1, 0, m),)
+
+    def test_pqa_solution(self):
+        # 10 = 1 + 9: x**2 - 10*y**2 = -9 has (1, 1), with x = 1*y mod 9
+        assert _pqa_solution(10, 1, 9) is not None
+        x, y = _pqa_solution(10, 1, 9)
+        assert abs(x * x - 10 * y * y) == 9
+        # norm 3 is not reached in Z[sqrt(10)], but 1 = 10 mod 3
+        assert _pqa_solution(10, 1, 3) is None
+        assert _pqa_solution(10, 0, 1) == (1, 0)
 
 
 class TestIsRepresentable:
